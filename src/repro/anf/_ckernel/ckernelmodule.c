@@ -3,11 +3,10 @@
  * Every function operates on contiguous slabs of native-endian uint64 rows
  * exposed through the buffer protocol (``array('Q')``, ``bytearray``, or a
  * C-contiguous numpy uint64 vector) and releases the GIL around its hot
- * loop, so the thread-chunking layer in ``repro.anf.nativekernel`` can run
- * chunks genuinely in parallel.  The Python-facing contracts — what the
- * inputs mean, when a kernel declines, and the exact result semantics —
- * live in ``repro.anf.cnative``, which wraps this module and falls back to
- * the numpy kernels in ``repro.anf.sortkernel`` whenever it is missing.
+ * loop.  The Python-facing contracts — what the inputs mean, when a kernel
+ * declines, and the exact result semantics — live in ``repro.anf.cnative``,
+ * which wraps this module and falls back to the numpy kernels in
+ * ``repro.anf.sortkernel`` whenever it is missing.
  *
  * The headline kernel is ``split_radix``: the fused key-compress + bincount
  * + gather radix split that serves both ``split_runs_by_group`` and (via

@@ -4,8 +4,7 @@ The decomposition engine's intrinsic floor is O(terms) work per iteration —
 splitting the giant combined expression by group, multiplying tag variables
 in, extracting per-port tag components, counting literals.  How fast that
 floor runs depends entirely on the *representation* of the term sets, so the
-representation-dependent kernels live here, behind a two-implementation
-interface:
+representation-dependent kernels live here, behind one interface:
 
 :class:`SetBackend` (``"set"``)
     The seed behaviour: every kernel iterates Python ``frozenset`` objects.
@@ -20,8 +19,12 @@ interface:
     pipeline stages stay matrix-backed so frozensets are only materialised
     when a consumer genuinely needs set semantics.
 
-Both backends compute the *same canonical term sets* for every kernel — the
-parity test-suite runs the full engine under both and asserts bit-identical
+:class:`NativeBackend` (``"native"``)
+    The packed representation with its whole-slab kernels running on the
+    compiled C extension (:mod:`repro.anf.cnative`).
+
+All backends compute the *same canonical term sets* for every kernel — the
+parity test-suite runs the full engine under each and asserts bit-identical
 decompositions.  Select with :func:`set_backend`, the :func:`using_backend`
 context manager, or the ``REPRO_TERM_BACKEND`` environment variable.
 """
@@ -276,66 +279,34 @@ class PackedBackend(SetBackend):
             expr.term_matrix(build=True)
 
 
-class ThreadedBackend(PackedBackend):
-    """Packed kernels with whole-slab primitives chunked across threads.
-
-    Identical representation and semantics to :class:`PackedBackend`; the
-    only difference is that, while active, the module-level kernel functions
-    in :mod:`repro.anf.sortkernel` dispatch to
-    :mod:`repro.anf.nativekernel`, which partitions large slabs across a
-    ``ThreadPoolExecutor`` (numpy releases the GIL inside each chunk) and
-    recombines the pieces with deterministic ordered merges — so results
-    stay bit-identical to the serial kernels at any thread count.
-    """
-
-    name = "threaded"
-
-    def activate(self) -> None:
-        from . import nativekernel
-
-        sortkernel.set_parallel(nativekernel)
-
-    def deactivate(self) -> None:
-        sortkernel.set_parallel(None)
-
-
 class NativeBackend(PackedBackend):
     """Packed kernels running on the compiled C extension (when built).
 
-    Installs :mod:`repro.anf.cnative` at both ends of the kernel stack:
-    as :mod:`repro.anf.sortkernel`'s parallel seam module (so every public
-    whole-slab kernel dispatches to the chunking layer) and as
-    :mod:`repro.anf.nativekernel`'s per-chunk serial core (so each chunk
-    runs the cache-resident C primitives, which release the GIL).  On one
-    configured thread that degenerates to straight serial C calls; with
-    ``REPRO_KERNEL_THREADS`` > 1 the chunking is genuinely parallel.
+    Installs :mod:`repro.anf.cnative` as :mod:`repro.anf.sortkernel`'s
+    kernel core, so every public whole-slab kernel runs its C twin — the
+    cache-resident C primitives, called directly and serially.
 
     Without the compiled extension the same seam installs but every
     primitive falls back to the numpy kernels — one :class:`RuntimeWarning`
     says so at activation, and semantics are identical either way (the
-    four-backend parity suite asserts it).
+    three-backend parity suite asserts it).
     """
 
     name = "native"
 
     def activate(self) -> None:
-        from . import cnative, nativekernel
+        from . import cnative
 
         cnative.warn_if_missing()
-        nativekernel.set_serial(cnative)
-        sortkernel.set_parallel(cnative)
+        sortkernel.set_core(cnative)
 
     def deactivate(self) -> None:
-        from . import nativekernel
-
-        nativekernel.set_serial(None)
-        sortkernel.set_parallel(None)
+        sortkernel.set_core(None)
 
 
 _BACKENDS: Dict[str, SetBackend] = {
     SetBackend.name: SetBackend(),
     PackedBackend.name: PackedBackend(),
-    ThreadedBackend.name: ThreadedBackend(),
     NativeBackend.name: NativeBackend(),
 }
 
@@ -360,8 +331,7 @@ def get_backend() -> SetBackend:
 
 
 def set_backend(name: str) -> SetBackend:
-    """Activate a backend by name (``"set"``, ``"packed"``, ``"threaded"``
-    or ``"native"``)."""
+    """Activate a backend by name (``"set"``, ``"packed"`` or ``"native"``)."""
     global _active
     try:
         chosen = _BACKENDS[name]

@@ -1,25 +1,13 @@
 """The ``native`` term-backend kernels: C primitives behind the seam.
 
-This module is what ``REPRO_TERM_BACKEND=native`` installs at both ends of
-the kernel stack:
-
-* as :mod:`repro.anf.sortkernel`'s ``set_parallel`` module, so every public
-  whole-slab kernel dispatches here; and
-* as :mod:`repro.anf.nativekernel`'s chunk-serial core (``set_serial``), so
-  each chunk of a thread-partitioned slab runs the compiled primitives.
-
-The public seam functions below are therefore *aliases of nativekernel's
-chunked dispatchers* — chunking policy (``REPRO_KERNEL_THREADS``,
-``REPRO_KERNEL_CHUNK_MIN_ROWS``) is decided in exactly one place — and the
-``_*_serial`` functions are the per-chunk floors, signature-compatible with
-sortkernel's.  Each one calls into the compiled extension
-(:mod:`repro.anf._ckernel._impl`) when it is built and the input clears the
-same ``KERNEL_MIN_ROWS`` floor the numpy kernels use; everything else —
-missing extension, tiny slabs, masks wider than ``RADIX_MAX_GROUP_BITS``,
-numpy-less product fills — delegates to the sortkernel implementation, so
-the semantics are those of the packed backend bit for bit.  The C
-primitives release the GIL over their hot loops, which is what makes the
-thread chunking genuinely parallel instead of merely interleaved.
+``REPRO_TERM_BACKEND=native`` installs this module as
+:mod:`repro.anf.sortkernel`'s kernel core (``set_core``), so every public
+whole-slab kernel there dispatches to its C-first twin here.  Each one
+calls into the compiled extension (:mod:`repro.anf._ckernel._impl`) when it
+is built and the input clears the same ``KERNEL_MIN_ROWS`` floor the numpy
+kernels use; everything else — missing extension, tiny slabs, masks wider
+than ``RADIX_MAX_GROUP_BITS`` — delegates to the sortkernel numpy body, so
+the semantics are those of the packed backend bit for bit.
 
 The extension build is optional (``setup.py`` marks it ``optional=True``):
 importing this module never fails.  :func:`warn_if_missing` — called by the
@@ -32,15 +20,12 @@ from __future__ import annotations
 
 import warnings
 from array import array
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from . import nativekernel, sortkernel
-from .sortkernel import ROW_MASK, WORD_CODE, merge_disjoint
+import numpy as _np
 
-try:  # pragma: no cover - exercised implicitly by every kernel call
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
+from . import sortkernel
+from .sortkernel import ROW_MASK, WORD_CODE
 
 try:  # pragma: no cover - both arms are covered by the fallback tests
     from ._ckernel import _impl as _C
@@ -79,9 +64,9 @@ def _from_bytes(raw) -> array:
 
 
 # ----------------------------------------------------------------------
-# Per-chunk serial kernels (signature-compatible with sortkernel's)
+# Kernels (signature-compatible with sortkernel's public ones)
 # ----------------------------------------------------------------------
-def _split_runs_serial(
+def split_runs_by_group(
     words: array, group_mask: int, or_mask: int = 0
 ) -> Tuple[List[Tuple[int, array]], array]:
     """Fused compress + histogram + gather radix split, in one C pass each.
@@ -91,7 +76,7 @@ def _split_runs_serial(
     path — and the argsort route stays in sortkernel.
     """
     if _C is None or len(words) < sortkernel.KERNEL_MIN_ROWS:
-        return sortkernel._split_runs_serial(words, group_mask, or_mask)
+        return sortkernel._split_runs(words, group_mask, or_mask)
     result = _C.split_radix(
         words,
         group_mask & ROW_MASK,
@@ -99,7 +84,7 @@ def _split_runs_serial(
         sortkernel.RADIX_MAX_GROUP_BITS,
     )
     if result is None:
-        return sortkernel._split_runs_serial(words, group_mask, or_mask)
+        return sortkernel._split_runs(words, group_mask, or_mask)
     parts, buckets, remainder = result
     if not parts and not or_mask:
         # No row carries a group bit and there is no tag to plant: the
@@ -112,57 +97,39 @@ def _split_runs_serial(
     )
 
 
-def _split_build_serial(
+def split_build_by_group(
     tagged_slabs: Sequence[Tuple[int, array]], group_mask: int
 ) -> Tuple[List[Tuple[int, array]], array]:
-    if _C is None:
-        return sortkernel._split_build_serial(tagged_slabs, group_mask)
-    per_bucket: Dict[int, List[array]] = {}
-    rest_parts: List[array] = []
-    for tag, words in tagged_slabs:
-        if not len(words):
-            continue
-        buckets, rest = _split_runs_serial(words, group_mask, or_mask=tag)
-        for part, rows in buckets:
-            pieces = per_bucket.get(part)
-            if pieces is None:
-                per_bucket[part] = pieces = []
-            pieces.append(rows)
-        if len(rest):
-            rest_parts.append(rest)
-    merged = [
-        (part, merge_disjoint(per_bucket[part])) for part in sorted(per_bucket)
-    ]
-    return merged, merge_disjoint(rest_parts) if rest_parts else array(WORD_CODE)
+    return sortkernel._split_build(tagged_slabs, group_mask, split=split_runs_by_group)
 
 
-def _scatter_tag_serial(words: array, bit: int) -> array:
+def scatter_tag(words: array, bit: int) -> array:
     if (
         _C is None
         or bit > ROW_MASK
         or len(words) < sortkernel.KERNEL_MIN_ROWS
     ):
-        return sortkernel._scatter_tag_serial(words, bit)
+        return sortkernel._scatter_tag(words, bit)
     return _from_bytes(_C.scatter_tag(words, bit))
 
 
-def _xor_merge_serial(left: array, right: array) -> array:
+def xor_merge(left: array, right: array) -> array:
     if not len(left):
         return right
     if not len(right):
         return left
     if _C is None or len(left) + len(right) < sortkernel.KERNEL_MIN_ROWS:
-        return sortkernel._xor_merge_serial(left, right)
+        return sortkernel._xor_merge(left, right)
     return _from_bytes(_C.xor_merge(left, right))
 
 
-def _parity_merge_serial(slabs: Sequence[array]) -> array:
+def parity_merge(slabs: Sequence[array]) -> array:
     alive = [s for s in slabs if len(s)]
     if not alive:
         return array(WORD_CODE)
     total = sum(len(s) for s in alive)
     if _C is None or total < sortkernel.KERNEL_MIN_ROWS:
-        return sortkernel._parity_merge_serial(slabs)
+        return sortkernel._parity_merge(slabs)
     # One writable slab holding the whole multiset; ``sort_parity`` radix-
     # sorts it in place and compacts the odd-count rows into its prefix.
     buf = bytearray(total * 8)
@@ -176,14 +143,10 @@ def _parity_merge_serial(slabs: Sequence[array]) -> array:
     return _from_bytes(view[: survivors * 8])
 
 
-def _product_rows_serial(large: array, small_terms: Sequence[int]) -> array:
+def product_rows(large: array, small_terms: Sequence[int]) -> array:
     terms = list(small_terms)
-    if (
-        _C is None
-        or _np is None  # the slab fill below is a numpy broadcast
-        or len(large) * len(terms) < sortkernel.KERNEL_MIN_ROWS
-    ):
-        return sortkernel._product_rows_serial(large, small_terms)
+    if _C is None or len(large) * len(terms) < sortkernel.KERNEL_MIN_ROWS:
+        return sortkernel._product_rows(large, small_terms)
     rows = _np.frombuffer(large, dtype=_np.uint64)
     raw = _product_rec(rows, [term & ROW_MASK for term in terms])
     return _from_bytes(raw)
@@ -210,37 +173,21 @@ def _product_rec(rows, terms: List[int]):
     )
 
 
-def _shared_literal_count_serial(left: array, right: array) -> int:
+def shared_literal_count(left: array, right: array) -> int:
     if (
         _C is None
         or min(len(left), len(right)) == 0
         or len(left) + len(right) < sortkernel.KERNEL_MIN_ROWS
     ):
-        return sortkernel._shared_literal_count_serial(left, right)
+        return sortkernel._shared_literal_count(left, right)
     return _C.shared_literal_count(left, right)
 
 
-def _popcount_rows_serial(words) -> int:
+def popcount_rows(words) -> int:
     if (
         _C is None
         or not isinstance(words, array)
         or len(words) < sortkernel.KERNEL_MIN_ROWS
     ):
-        return sortkernel._popcount_rows_serial(words)
+        return sortkernel._popcount_rows(words)
     return _C.popcount_rows(words)
-
-
-# ----------------------------------------------------------------------
-# Seam functions: nativekernel's chunked dispatchers, verbatim.  The
-# backend installs this module as nativekernel's serial core first, so the
-# dispatchers run the ``_*_serial`` kernels above per chunk (or directly,
-# below the chunking floor / on one thread).
-# ----------------------------------------------------------------------
-split_runs_by_group = nativekernel.split_runs_by_group
-split_build_by_group = nativekernel.split_build_by_group
-scatter_tag = nativekernel.scatter_tag
-xor_merge = nativekernel.xor_merge
-parity_merge = nativekernel.parity_merge
-product_rows = nativekernel.product_rows
-shared_literal_count = nativekernel.shared_literal_count
-popcount_rows = nativekernel.popcount_rows

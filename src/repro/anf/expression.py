@@ -348,8 +348,7 @@ class Anf:
             if matrix is not None and mask < TERM_LIMIT:
                 return Anf._from_matrix(self._ctx, matrix.or_all(mask))
         if (
-            sortkernel.available()
-            and large.num_terms >= sortkernel.KERNEL_MIN_ROWS
+            large.num_terms >= sortkernel.KERNEL_MIN_ROWS
             and small.support_mask < TERM_LIMIT
         ):
             # Distribute the small operand over the large one's matrix: each
@@ -641,11 +640,6 @@ def xor_accumulate(exprs: Iterable[Anf], ctx: Context) -> Anf:
     packs, the pieces' slabs reduce in a single sorted parity pass; any
     unpackable piece degrades to the fold.
     """
-    if not sortkernel.available():
-        total = Anf.zero(ctx)
-        for expr in exprs:
-            total = total ^ expr
-        return total
     # Stream the pieces, batching their slabs against a row budget: the
     # transient concatenation stays O(budget + result) even when the pieces
     # are individually giant but mostly cancel, and the pieces themselves

@@ -44,11 +44,13 @@ every remaining O(terms) scan as a handful of vectorised passes:
 All kernels are exact and representation-transparent: they compute the same
 canonical term sets as the per-term reference loops, which the property
 tests in ``tests/test_sortkernel.py`` assert on arbitrary inputs.  The
-heavy lifting needs :mod:`numpy` (already a dependency via
-:mod:`repro.anf.truthtable`); when numpy is unavailable every entry point
-falls back to a pure-Python implementation, and tiny inputs skip numpy
-anyway — below :data:`KERNEL_MIN_ROWS` rows the fixed cost of array
-round-trips exceeds the per-term loop it replaces.
+heavy lifting runs in :mod:`numpy`; tiny inputs skip it — below
+:data:`KERNEL_MIN_ROWS` rows the fixed cost of array round-trips exceeds
+the per-term loop it replaces.
+
+The whole-slab kernels have one seam (:func:`set_core`): the ``native``
+backend installs :mod:`repro.anf.cnative` there, and every public kernel
+then runs that module's C-first twin instead of its numpy body.
 """
 
 from __future__ import annotations
@@ -58,10 +60,7 @@ import warnings
 from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every kernel call
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
+import numpy as _np
 
 
 def _env_int(name: str, default: int, minimum: int = 0) -> int:
@@ -122,22 +121,17 @@ RADIX_MAX_GROUP_BITS = _env_int("REPRO_RADIX_MAX_GROUP_BITS", 6, minimum=1)
 #: on the comparator's 16-bucket 14.3 M-row split).
 RADIX_ARGSORT_MIN_BUCKETS = 4
 
-#: When the ``threaded`` backend is active this holds the chunking module
-#: (:mod:`repro.anf.nativekernel`); the public kernels below dispatch to it
-#: so *every* caller — backends and module-level users such as
-#: ``xor_accumulate`` alike — runs chunked.  ``None`` keeps the serial path.
-_parallel = None
+#: The module whose kernels replace the numpy bodies below — ``None`` (numpy)
+#: or :mod:`repro.anf.cnative`, installed by the ``native`` backend.  The
+#: public kernels dispatch on it, so *every* caller — backends and
+#: module-level users such as ``xor_accumulate`` alike — runs the same core.
+_core = None
 
 
-def set_parallel(module) -> None:
-    """Install (or clear, with ``None``) the chunked-execution module."""
-    global _parallel
-    _parallel = module
-
-
-def available() -> bool:
-    """True when the numpy-backed kernels are usable."""
-    return _np is not None
+def set_core(module) -> None:
+    """Install (or clear, with ``None``) the kernel core module."""
+    global _core
+    _core = module
 
 
 def _as_u64(words: array):
@@ -182,10 +176,10 @@ def split_runs_by_group(
     composite-key argsort, which is order-equivalent: both preserve the
     input (ascending) order within a bucket, so every slice is canonical.
     """
-    par = _parallel
-    if par is not None:
-        return par.split_runs_by_group(words, group_mask)
-    return _split_runs_serial(words, group_mask)
+    core = _core
+    if core is not None:
+        return core.split_runs_by_group(words, group_mask)
+    return _split_runs(words, group_mask)
 
 
 def split_build_by_group(
@@ -207,21 +201,24 @@ def split_build_by_group(
     is a fresh single bit disjoint from its slab's support, from every other
     tag, and from ``group_mask``.
     """
-    par = _parallel
-    if par is not None:
-        return par.split_build_by_group(tagged_slabs, group_mask)
-    return _split_build_serial(tagged_slabs, group_mask)
+    core = _core
+    if core is not None:
+        return core.split_build_by_group(tagged_slabs, group_mask)
+    return _split_build(tagged_slabs, group_mask)
 
 
-def _split_build_serial(
-    tagged_slabs: Sequence[Tuple[int, array]], group_mask: int
+def _split_build(
+    tagged_slabs: Sequence[Tuple[int, array]], group_mask: int, split=None
 ) -> Tuple[List[Tuple[int, array]], array]:
+    """One tagged split per slab (``split`` defaults to :func:`_split_runs`),
+    then per-bucket disjoint merges."""
+    split = split or _split_runs
     per_bucket: Dict[int, List[array]] = {}
     rest_parts: List[array] = []
     for tag, words in tagged_slabs:
         if not len(words):
             continue
-        buckets, rest = _split_runs_serial(words, group_mask, or_mask=tag)
+        buckets, rest = split(words, group_mask, or_mask=tag)
         for part, rows in buckets:
             pieces = per_bucket.get(part)
             if pieces is None:
@@ -235,16 +232,16 @@ def _split_build_serial(
     return merged, merge_disjoint(rest_parts) if rest_parts else array(WORD_CODE)
 
 
-def _split_runs_serial(
+def _split_runs(
     words: array, group_mask: int, or_mask: int = 0
 ) -> Tuple[List[Tuple[int, array]], array]:
-    """The serial split kernel; ``or_mask`` is ORed into every emitted row.
+    """The numpy split kernel; ``or_mask`` is ORed into every emitted row.
 
     ``or_mask`` (the fused path's tag bit) must be disjoint from the slab's
     support and from ``group_mask``, so ORing it preserves the ascending
     order of every bucket and of the remainder.
     """
-    if _np is None or len(words) < KERNEL_MIN_ROWS:
+    if len(words) < KERNEL_MIN_ROWS:
         return _split_runs_python(words, group_mask, or_mask)
     mask = group_mask & ROW_MASK
     bit_positions = _mask_bit_positions(mask)
@@ -387,7 +384,7 @@ def _split_runs_radix(
 def _split_runs_python(
     words: Sequence[int], group_mask: int, or_mask: int = 0
 ) -> Tuple[List[Tuple[int, array]], array]:
-    """Per-term reference split (also the numpy-less fallback)."""
+    """Per-term reference split (also the small-input path)."""
     buckets: Dict[int, List[int]] = {}
     remainder: List[int] = []
     remainder_append = remainder.append
@@ -436,16 +433,16 @@ def scatter_tag(words: array, bit: int) -> array:
     Rows that all contain a common bit keep their relative order when it is
     cleared, so the selection is born sorted.
     """
-    par = _parallel
-    if par is not None:
-        return par.scatter_tag(words, bit)
-    return _scatter_tag_serial(words, bit)
+    core = _core
+    if core is not None:
+        return core.scatter_tag(words, bit)
+    return _scatter_tag(words, bit)
 
 
-def _scatter_tag_serial(words: array, bit: int) -> array:
+def _scatter_tag(words: array, bit: int) -> array:
     if bit > ROW_MASK:
         return array(WORD_CODE)
-    if _np is None or len(words) < KERNEL_MIN_ROWS:
+    if len(words) < KERNEL_MIN_ROWS:
         return array(WORD_CODE, [t & ~bit for t in words if t & bit])
     rows = _as_u64(words)
     b = _np.uint64(bit)
@@ -465,7 +462,7 @@ def sort_terms(terms: Iterable[int], count: Optional[int] = None) -> Optional[ar
     if count is None:
         terms = list(terms)
         count = len(terms)
-    if _np is None or count < KERNEL_MIN_ROWS:
+    if count < KERNEL_MIN_ROWS:
         rows = sorted(terms)
         if rows and rows[-1] > ROW_MASK:
             return None
@@ -499,7 +496,7 @@ def merge_disjoint(slabs: Sequence[array]) -> array:
         alive[i][-1] < alive[i + 1][0] for i in range(len(alive) - 1)
     )
     total = sum(len(s) for s in alive)
-    if ordered or _np is None or total < KERNEL_MIN_ROWS:
+    if ordered or total < KERNEL_MIN_ROWS:
         merged = array(WORD_CODE)
         for s in alive:
             merged.extend(s)
@@ -519,18 +516,18 @@ def xor_merge(left: array, right: array) -> array:
     Each operand holds distinct rows, so a shared row occurs exactly twice in
     the concatenation and the adjacent duplicates cancel.
     """
-    par = _parallel
-    if par is not None:
-        return par.xor_merge(left, right)
-    return _xor_merge_serial(left, right)
+    core = _core
+    if core is not None:
+        return core.xor_merge(left, right)
+    return _xor_merge(left, right)
 
 
-def _xor_merge_serial(left: array, right: array) -> array:
+def _xor_merge(left: array, right: array) -> array:
     if not len(left):
         return right
     if not len(right):
         return left
-    if _np is None or len(left) + len(right) < KERNEL_MIN_ROWS:
+    if len(left) + len(right) < KERNEL_MIN_ROWS:
         return _xor_merge_python(left, right)
     merged = _np.concatenate([_as_u64(left), _as_u64(right)])
     merged.sort(kind="stable")
@@ -568,18 +565,18 @@ def parity_merge(slabs: Sequence[array]) -> array:
     or duplicate-free (product slabs ``rows | term`` are neither when the
     term overlaps the support), so even a single slab is swept.
     """
-    par = _parallel
-    if par is not None:
-        return par.parity_merge(slabs)
-    return _parity_merge_serial(slabs)
+    core = _core
+    if core is not None:
+        return core.parity_merge(slabs)
+    return _parity_merge(slabs)
 
 
-def _parity_merge_serial(slabs: Sequence[array]) -> array:
+def _parity_merge(slabs: Sequence[array]) -> array:
     alive = [s for s in slabs if len(s)]
     if not alive:
         return array(WORD_CODE)
     total = sum(len(s) for s in alive)
-    if _np is None or total < KERNEL_MIN_ROWS:
+    if total < KERNEL_MIN_ROWS:
         counts: Dict[int, int] = {}
         for s in alive:
             for row in s:
@@ -614,14 +611,14 @@ def product_rows(large: array, small_terms: Sequence[int]) -> array:
     slab memory for products where both operands are large; the halves are
     themselves canonical, so they recombine with a run-friendly stable sort.
     """
-    par = _parallel
-    if par is not None:
-        return par.product_rows(large, small_terms)
-    return _product_rows_serial(large, small_terms)
+    core = _core
+    if core is not None:
+        return core.product_rows(large, small_terms)
+    return _product_rows(large, small_terms)
 
 
-def _product_rows_serial(large: array, small_terms: Sequence[int]) -> array:
-    if _np is None or len(large) * len(small_terms) < KERNEL_MIN_ROWS:
+def _product_rows(large: array, small_terms: Sequence[int]) -> array:
+    if len(large) * len(small_terms) < KERNEL_MIN_ROWS:
         counts: Dict[int, int] = {}
         for term in small_terms:
             for row in large:
@@ -663,7 +660,7 @@ def or_into_all(words: array, mask: int) -> array:
     transient numpy allocation, which is what the giant tag multiplies of
     ``combine_with_tags`` pay for first-touch page faults otherwise.
     """
-    if _np is None or len(words) < KERNEL_MIN_ROWS:
+    if len(words) < KERNEL_MIN_ROWS:
         return array(WORD_CODE, [t | mask for t in words])
     out = array(WORD_CODE, words)
     view = _np.frombuffer(out, dtype=_np.uint64)
@@ -673,7 +670,7 @@ def or_into_all(words: array, mask: int) -> array:
 
 def support_fold(words: array) -> int:
     """OR of every row in one vector pass."""
-    if _np is None or len(words) < KERNEL_MIN_ROWS:
+    if len(words) < KERNEL_MIN_ROWS:
         mask = 0
         for term in words:
             mask |= term
@@ -683,18 +680,14 @@ def support_fold(words: array) -> int:
 
 def shared_literal_count(left: array, right: array) -> int:
     """Total set bits over the rows present in both sorted slabs."""
-    par = _parallel
-    if par is not None:
-        return par.shared_literal_count(left, right)
-    return _shared_literal_count_serial(left, right)
+    core = _core
+    if core is not None:
+        return core.shared_literal_count(left, right)
+    return _shared_literal_count(left, right)
 
 
-def _shared_literal_count_serial(left: array, right: array) -> int:
-    if (
-        _np is None
-        or min(len(left), len(right)) == 0
-        or len(left) + len(right) < KERNEL_MIN_ROWS
-    ):
+def _shared_literal_count(left: array, right: array) -> int:
+    if min(len(left), len(right)) == 0 or len(left) + len(right) < KERNEL_MIN_ROWS:
         shared = frozenset(left) & frozenset(right)
         return sum(int(row).bit_count() for row in shared)
     small, large = (left, right) if len(left) <= len(right) else (right, left)
@@ -716,14 +709,14 @@ def popcount_rows(words: array) -> int:
     big-integer construction that used to dominate the engine's
     ``literal_count`` queries on multi-million-row slabs.
     """
-    par = _parallel
-    if par is not None:
-        return par.popcount_rows(words)
-    return _popcount_rows_serial(words)
+    core = _core
+    if core is not None:
+        return core.popcount_rows(words)
+    return _popcount_rows(words)
 
 
-def _popcount_rows_serial(words) -> int:
-    if _np is None or len(words) < KERNEL_MIN_ROWS:
+def _popcount_rows(words) -> int:
+    if len(words) < KERNEL_MIN_ROWS:
         if isinstance(words, array):
             return int.from_bytes(words.tobytes(), "little").bit_count()
         return sum(int(row).bit_count() for row in words)
@@ -736,14 +729,14 @@ def _popcount_rows_serial(words) -> int:
 def clear_bits_all(words: array, mask: int) -> array:
     """``row & ~mask`` for every row; ascending whenever every row contains
     all of ``mask`` (the caller's precondition — tag stripping)."""
-    if _np is None or len(words) < KERNEL_MIN_ROWS:
+    if len(words) < KERNEL_MIN_ROWS:
         return array(WORD_CODE, [t & ~mask for t in words])
     return _to_words(_as_u64(words) & _np.uint64(~mask & ROW_MASK))
 
 
 def rows_contain_all(words: array, mask: int) -> bool:
     """True when every row contains every bit of ``mask`` (one vector pass)."""
-    if _np is None or len(words) < KERNEL_MIN_ROWS:
+    if len(words) < KERNEL_MIN_ROWS:
         return all(t & mask == mask for t in words)
     m = _np.uint64(mask & ROW_MASK)
     rows = _as_u64(words)

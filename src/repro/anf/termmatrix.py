@@ -20,8 +20,7 @@ ascending order.  Two derived views are cached on demand:
     equal, which gives the pair-merging fixpoints an O(n/8) canonical
     dictionary key with no per-term hashing.
 
-Everything here is stdlib only (``array`` + big ints) and exact: a
-``TermMatrix`` is just another spelling of the same canonical monomial set,
+Everything here is exact: a ``TermMatrix`` is just another spelling of the same canonical monomial set,
 so routing an operation through it can never change a result.  Terms that do
 not fit in 64 bits (contexts with more than 64 variables reaching the high
 indices) simply decline to pack — callers fall back to the frozenset path.
@@ -129,10 +128,11 @@ class TermMatrix:
         return sortkernel.popcount_rows(self.words)
 
     def support_mask(self) -> int:
-        """OR of every row (one vector fold; big-integer halving fallback)."""
+        """OR of every row (one vector fold; big-integer halving below the
+        kernel floor)."""
         mask = self._support
         if mask is None:
-            if sortkernel.available() and len(self.words) >= sortkernel.KERNEL_MIN_ROWS:
+            if len(self.words) >= sortkernel.KERNEL_MIN_ROWS:
                 mask = sortkernel.support_fold(self.words)
             else:
                 value = self.packed()
@@ -163,7 +163,7 @@ class TermMatrix:
             raise ValueError("or_all requires a mask disjoint from the support")
         if mask >= TERM_LIMIT or mask < 0:
             raise ValueError("mask does not fit a 64-bit row")
-        if sortkernel.available() and len(self.words) >= sortkernel.KERNEL_MIN_ROWS:
+        if len(self.words) >= sortkernel.KERNEL_MIN_ROWS:
             result = TermMatrix(sortkernel.or_into_all(self.words, mask))
         else:
             merged = self.packed() | replicate(mask, len(self.words))
@@ -182,7 +182,7 @@ class TermMatrix:
         """
         if not self.words:
             return self
-        if sortkernel.available() and len(self.words) >= sortkernel.KERNEL_MIN_ROWS:
+        if len(self.words) >= sortkernel.KERNEL_MIN_ROWS:
             return TermMatrix(sortkernel.clear_bits_all(self.words, mask))
         cleared = self.packed() & ~replicate(mask, len(self.words))
         return TermMatrix(_array_from_packed(cleared, len(self.words)))
@@ -209,7 +209,7 @@ class TermMatrix:
             return True
         if mask >= TERM_LIMIT or mask < 0:
             return False
-        if sortkernel.available() and len(self.words) >= sortkernel.KERNEL_MIN_ROWS:
+        if len(self.words) >= sortkernel.KERNEL_MIN_ROWS:
             return sortkernel.rows_contain_all(self.words, mask)
         selected = self.packed() & replicate(mask, len(self.words))
         return selected.bit_count() == mask.bit_count() * len(self.words)

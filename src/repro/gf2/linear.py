@@ -11,14 +11,11 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
+import numpy as np
+
 from ..anf import sortkernel
 from ..anf.expression import Anf
 from .vectorspace import XorSpan, find_linear_dependency
-
-
-def _numpy():
-    """The kernel layer's numpy handle (one availability flag for the repo)."""
-    return sortkernel._np
 
 
 class MonomialIndexer:
@@ -70,8 +67,6 @@ class MonomialVocabulary:
     every consumer of the vectors computes identical results (the contract
     :class:`repro.core.optimize._DependencyFinder` already relies on for its
     cross-round cache).
-
-    Works without numpy too: the scalar path alone is an indexer.
     """
 
     __slots__ = ("_base", "_base_ids", "_pending", "_wide", "_next")
@@ -88,14 +83,12 @@ class MonomialVocabulary:
         """Merge scalar-assigned packable rows into the sorted base."""
         if not self._pending:
             return
-        np = _numpy()
         rows = np.fromiter(self._pending.keys(), dtype=np.uint64, count=len(self._pending))
         ids = np.fromiter(self._pending.values(), dtype=np.int64, count=len(self._pending))
         self._pending.clear()
         self._merge(rows, ids)
 
     def _merge(self, rows, ids) -> None:
-        np = _numpy()
         if self._base is None or not len(self._base):
             order = np.argsort(rows, kind="stable")
             self._base, self._base_ids = rows[order], ids[order]
@@ -115,8 +108,7 @@ class MonomialVocabulary:
         index = self._pending.get(monomial)
         if index is not None:
             return index
-        np = _numpy()
-        if np is not None and self._base is not None and len(self._base):
+        if self._base is not None and len(self._base):
             position = int(np.searchsorted(self._base, np.uint64(monomial)))
             if position < len(self._base) and int(self._base[position]) == monomial:
                 return int(self._base_ids[position])
@@ -128,7 +120,6 @@ class MonomialVocabulary:
     def _vector_from_ids(ids) -> int:
         if not len(ids):
             return 0
-        np = _numpy()
         buffer = np.zeros((int(ids.max()) >> 3) + 1, dtype=np.uint8)
         bits = np.left_shift(
             np.uint8(1), (ids & 7).astype(np.uint8), dtype=np.uint8
@@ -143,12 +134,11 @@ class MonomialVocabulary:
 
     def vector_of(self, expr: Anf) -> int:
         """Bitmask vector of ``expr`` over the (growing) monomial basis."""
-        np = _numpy()
         matrix = None
-        if np is not None and expr.num_terms >= self.BULK_MIN_TERMS:
+        if expr.num_terms >= self.BULK_MIN_TERMS:
             matrix = expr.term_matrix(build=True)
         if matrix is None or matrix.count == 0:
-            # Scalar path: unpackable expressions (or no numpy at all).
+            # Scalar path: small or unpackable expressions.
             indices = [self._scalar_id(monomial) for monomial in expr.term_list()]
             if not indices:
                 return 0

@@ -6,7 +6,7 @@ Two layers are under test:
   brute-force multiset semantics on arbitrary inputs (including the
   decline rules: empty masks, masks wider than the radix bound);
 * ``repro.anf.cnative`` — the seam wrapper, checked for bit-identity with
-  the sortkernel serial kernels it shadows, for the no-copy guarantee on
+  the sortkernel numpy kernels it shadows, for the no-copy guarantee on
   groupless slabs, and for the graceful no-extension degrade (numpy path
   plus a one-time warning when the ``native`` backend activates without
   the compiled module).
@@ -21,7 +21,7 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.anf import Anf, Context, cnative, nativekernel, sortkernel
+from repro.anf import Anf, Context, cnative, sortkernel
 from repro.anf.backend import get_backend, using_backend
 
 terms_strategy = st.lists(
@@ -130,7 +130,7 @@ class TestRawPrimitives:
 
 @needs_ext
 class TestSerialWrapperParity:
-    """cnative's ``_*_serial`` kernels vs sortkernel's, bit for bit."""
+    """cnative's kernels vs sortkernel's numpy bodies, bit for bit."""
 
     @pytest.fixture(autouse=True)
     def forced_kernels(self, monkeypatch):
@@ -141,8 +141,8 @@ class TestSerialWrapperParity:
     @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_split_runs(self, terms, group_mask, tag):
         slab = _slab(terms)
-        ours = cnative._split_runs_serial(slab, group_mask, or_mask=tag)
-        ref = sortkernel._split_runs_serial(slab, group_mask, or_mask=tag)
+        ours = cnative.split_runs_by_group(slab, group_mask, or_mask=tag)
+        ref = sortkernel._split_runs(slab, group_mask, or_mask=tag)
         assert list(ours[1]) == list(ref[1])
         assert [(p, list(r)) for p, r in ours[0]] == [
             (p, list(r)) for p, r in sorted(ref[0])
@@ -153,8 +153,8 @@ class TestSerialWrapperParity:
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_split_build(self, groups, group_mask):
         slabs = [(1 << (50 + i), _slab(g)) for i, g in enumerate(groups)]
-        ours = cnative._split_build_serial(slabs, group_mask)
-        ref = sortkernel._split_build_serial(slabs, group_mask)
+        ours = cnative.split_build_by_group(slabs, group_mask)
+        ref = sortkernel._split_build(slabs, group_mask)
         assert list(ours[1]) == list(ref[1])
         assert [(p, list(r)) for p, r in ours[0]] == [
             (p, list(r)) for p, r in ref[0]
@@ -167,8 +167,8 @@ class TestSerialWrapperParity:
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_parity_merge(self, slabs):
         arrays = [array(sortkernel.WORD_CODE, s) for s in slabs]
-        assert list(cnative._parity_merge_serial(arrays)) == list(
-            sortkernel._parity_merge_serial(arrays)
+        assert list(cnative.parity_merge(arrays)) == list(
+            sortkernel._parity_merge(arrays)
         )
 
     @given(large=terms_strategy,
@@ -176,8 +176,8 @@ class TestSerialWrapperParity:
                           unique=True, min_size=1, max_size=6))
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_product_rows(self, large, small):
-        assert list(cnative._product_rows_serial(_slab(large), small)) == list(
-            sortkernel._product_rows_serial(_slab(large), small)
+        assert list(cnative.product_rows(_slab(large), small)) == list(
+            sortkernel._product_rows(_slab(large), small)
         )
 
     def test_product_divide_and_conquer_path(self, monkeypatch):
@@ -186,26 +186,34 @@ class TestSerialWrapperParity:
         monkeypatch.setattr(sortkernel, "PRODUCT_SLAB_ROWS", 64)
         large = _slab(range(1, 200))
         small = [1 << 45, (1 << 46) | 3, 7, (1 << 47) | 1, 11, 1 << 48]
-        expected = sortkernel._product_rows_serial(large, small)
-        assert list(cnative._product_rows_serial(large, small)) == list(expected)
+        expected = sortkernel._product_rows(large, small)
+        assert list(cnative.product_rows(large, small)) == list(expected)
 
     def test_groupless_slab_is_returned_uncopied(self):
         slab = _slab([2, 4, 6])
-        runs, remainder = cnative._split_runs_serial(slab, 1)
+        runs, remainder = cnative.split_runs_by_group(slab, 1)
         assert runs == [] and remainder is slab
 
     def test_empty_slab_and_empty_operands(self):
         empty = array(sortkernel.WORD_CODE)
-        assert cnative._split_runs_serial(empty, 0b11) == ([], empty)
+        assert cnative.split_runs_by_group(empty, 0b11) == ([], empty)
         some = _slab([1, 2, 3])
-        assert cnative._xor_merge_serial(empty, some) is some
-        assert cnative._xor_merge_serial(some, empty) is some
-        assert list(cnative._parity_merge_serial([])) == []
-        assert cnative._shared_literal_count_serial(empty, some) == 0
-        assert cnative._popcount_rows_serial(empty) == 0
+        assert cnative.xor_merge(empty, some) is some
+        assert cnative.xor_merge(some, empty) is some
+        assert list(cnative.parity_merge([])) == []
+        assert cnative.shared_literal_count(empty, some) == 0
+        assert cnative.popcount_rows(empty) == 0
 
 
 class TestNativeBackend:
+    def test_activation_installs_the_kernel_core(self):
+        with using_backend("packed"):
+            assert sortkernel._core is None
+            with using_backend("native"):
+                assert sortkernel._core is cnative
+                assert get_backend().name == "native"
+            assert sortkernel._core is None
+
     def test_wide_terms_fall_back_to_set_path(self):
         """>64-var terms cannot pack; the native backend must decline to the
         set kernels exactly like the packed backend does."""
@@ -247,9 +255,9 @@ class TestNativeBackend:
         monkeypatch.setattr(cnative, "_C", None)
         monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
         slab = _slab([1, 2, 3, 9])
-        assert list(cnative._xor_merge_serial(slab, _slab([2, 4]))) == [1, 3, 4, 9]
-        assert cnative._popcount_rows_serial(slab) == 6
-        runs, remainder = cnative._split_runs_serial(slab, 0b1)
+        assert list(cnative.xor_merge(slab, _slab([2, 4]))) == [1, 3, 4, 9]
+        assert cnative.popcount_rows(slab) == 6
+        runs, remainder = cnative.split_runs_by_group(slab, 0b1)
         assert [p for p, _ in runs] == [1]
         assert list(remainder) == [2]
 

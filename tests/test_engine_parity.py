@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from reference_loop import reference_decomposition
 
-from repro.anf import Anf, Context, majority, variables
+from repro.anf import Anf, Context, majority, sortkernel, variables
 from repro.anf.backend import using_backend
 from repro.core import DecompositionOptions, progressive_decomposition
 from repro.engine import (
@@ -105,30 +105,50 @@ def _twin_adder(width):
     return specs
 
 
-BACKENDS = ("set", "packed", "threaded", "native")
+BACKENDS = ("set", "packed", "native")
+
+
+def _check_parity(twins, options, backend):
+    (ref_outputs, ref_words), (new_outputs, new_words) = twins
+    with using_backend("set"):
+        expected = reference_decomposition(ref_outputs, options, input_words=ref_words)
+    with using_backend(backend):
+        actual = progressive_decomposition(new_outputs, options, input_words=new_words)
+    assert_bit_identical(expected, actual)
+    return actual
 
 
 class TestAblationParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("options", ABLATIONS, ids=lambda o: repr(o))
     def test_majority7_parity(self, options, backend):
-        (ref_outputs, ref_words), (new_outputs, new_words) = _twin_majority(7)
-        with using_backend("set"):
-            expected = reference_decomposition(ref_outputs, options, input_words=ref_words)
-        with using_backend(backend):
-            actual = progressive_decomposition(new_outputs, options, input_words=new_words)
-        assert_bit_identical(expected, actual)
-        assert actual.verify()
+        assert _check_parity(_twin_majority(7), options, backend).verify()
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("options", ABLATIONS[:4], ids=lambda o: repr(o))
     def test_multi_output_adder_parity(self, options, backend):
-        (ref_outputs, ref_words), (new_outputs, new_words) = _twin_adder(4)
-        with using_backend("set"):
-            expected = reference_decomposition(ref_outputs, options, input_words=ref_words)
-        with using_backend(backend):
-            actual = progressive_decomposition(new_outputs, options, input_words=new_words)
-        assert_bit_identical(expected, actual)
+        _check_parity(_twin_adder(4), options, backend)
+
+
+class TestVectorKernelParity:
+    """The ablations again with ``KERNEL_MIN_ROWS = 0``.  These specs are
+    small enough that the default threshold keeps every slab on the per-term
+    paths; here each packed kernel runs its whole-slab body instead (numpy,
+    or the C core under ``native`` when the extension is built)."""
+
+    @pytest.fixture(autouse=True)
+    def vector_kernels(self, monkeypatch):
+        monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
+
+    @pytest.mark.parametrize("backend", ("packed", "native"))
+    @pytest.mark.parametrize("options", ABLATIONS, ids=lambda o: repr(o))
+    def test_majority7_parity(self, options, backend):
+        assert _check_parity(_twin_majority(7), options, backend).verify()
+
+    @pytest.mark.parametrize("backend", ("packed", "native"))
+    @pytest.mark.parametrize("options", ABLATIONS[:4], ids=lambda o: repr(o))
+    def test_multi_output_adder_parity(self, options, backend):
+        _check_parity(_twin_adder(4), options, backend)
 
 
 class TestRandomisedParity:

@@ -35,29 +35,43 @@ mask_strategy = st.integers(min_value=0, max_value=(1 << 40) - 1)
 
 @pytest.fixture(params=["python", "numpy", "cnative"])
 def kernel_mode(request, monkeypatch):
-    """Run each kernel property under the per-term fallback, the forced
-    numpy path, and the compiled C core (``KERNEL_MIN_ROWS = 0`` sends even
-    tiny inputs through the vector kernels; installing ``cnative`` behind
-    the parallel seam routes the public kernels through the C primitives)."""
-    if request.param == "numpy":
-        if not sortkernel.available():
-            pytest.skip("numpy unavailable")
+    """Run each kernel property under the per-term paths, the forced numpy
+    path, and the compiled C core (an unreachable ``KERNEL_MIN_ROWS`` keeps
+    every input on the per-term paths, ``0`` sends even tiny inputs through
+    the vector kernels; installing ``cnative`` as the kernel core routes the
+    public kernels through the C primitives)."""
+    if request.param == "python":
+        monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 1 << 62)
+        monkeypatch.setattr(sortkernel, "_core", None)
+    elif request.param == "numpy":
         monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
-    elif request.param == "cnative":
-        from repro.anf import cnative, nativekernel
+        monkeypatch.setattr(sortkernel, "_core", None)
+    else:
+        from repro.anf import cnative
 
         if not cnative.available():
             pytest.skip("C extension not built")
         monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
-        monkeypatch.setattr(sortkernel, "_parallel", cnative)
-        monkeypatch.setattr(nativekernel, "_serial", cnative)
-    else:
-        monkeypatch.setattr(sortkernel, "_np", None)
+        monkeypatch.setattr(sortkernel, "_core", cnative)
     return request.param
 
 
 def _slab(terms):
     return array(sortkernel.WORD_CODE, sorted(terms))
+
+
+def test_env_int_warns_on_bad_values(monkeypatch):
+    monkeypatch.setenv("REPRO_TEST_TUNABLE", "not-a-number")
+    with pytest.warns(RuntimeWarning, match="malformed"):
+        assert sortkernel._env_int("REPRO_TEST_TUNABLE", 1024) == 1024
+    monkeypatch.setenv("REPRO_TEST_TUNABLE", "-5")
+    with pytest.warns(RuntimeWarning, match="below the minimum"):
+        assert sortkernel._env_int("REPRO_TEST_TUNABLE", 1024, minimum=1) == 1
+    # In-range and empty values stay silent.
+    monkeypatch.setenv("REPRO_TEST_TUNABLE", "17")
+    assert sortkernel._env_int("REPRO_TEST_TUNABLE", 1024) == 17
+    monkeypatch.setenv("REPRO_TEST_TUNABLE", "")
+    assert sortkernel._env_int("REPRO_TEST_TUNABLE", 1024) == 1024
 
 
 class TestSplitKernel:
@@ -105,8 +119,6 @@ class TestRadixSplit:
     @given(terms=terms_strategy, group_mask=narrow_mask)
     @settings(max_examples=60)
     def test_radix_matches_python_reference(self, terms, group_mask):
-        if not sortkernel.available():
-            pytest.skip("numpy unavailable")
         slab = _slab(terms)
         runs, remainder = sortkernel._split_runs_radix(
             slab, sortkernel._mask_bit_positions(group_mask)
@@ -124,8 +136,6 @@ class TestRadixSplit:
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_radix_matches_argsort_path(self, monkeypatch, terms, group_mask):
         """Same inputs through the dispatcher's two vectorised paths."""
-        if not sortkernel.available():
-            pytest.skip("numpy unavailable")
         monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
         slab = _slab(terms)
         radix = sortkernel.split_runs_by_group(slab, group_mask)
@@ -141,8 +151,6 @@ class TestRadixSplit:
         ]
 
     def test_wide_masks_keep_the_argsort_path(self, monkeypatch):
-        if not sortkernel.available():
-            pytest.skip("numpy unavailable")
         monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
         wide_mask = sum(1 << i for i in range(sortkernel.RADIX_MAX_GROUP_BITS + 2))
         terms = list(range(1, 600))
@@ -153,8 +161,6 @@ class TestRadixSplit:
                               for p, r in ref_runs}
 
     def test_all_rows_groupless_returns_input_slab(self, monkeypatch):
-        if not sortkernel.available():
-            pytest.skip("numpy unavailable")
         monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
         slab = _slab([2, 4, 6])
         runs, remainder = sortkernel.split_runs_by_group(slab, 1)
@@ -233,8 +239,6 @@ class TestFusedBackendSeam:
            group_mask=st.integers(min_value=0, max_value=255))
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_split_tagged_matches_two_step(self, monkeypatch, outputs_terms, group_mask):
-        if not sortkernel.available():
-            pytest.skip("numpy unavailable")
         from repro.core.basis import combine_with_tags
 
         monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
@@ -278,8 +282,6 @@ class TestBackendParityThreeWays:
     @given(terms=terms_strategy, group_mask=st.integers(min_value=0, max_value=255))
     @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_split_by_group(self, monkeypatch, terms, group_mask):
-        if not sortkernel.available():
-            pytest.skip("numpy unavailable")
         ctx = Context([f"v{i}" for i in range(8)])
         expr = Anf(ctx, terms)
         set_buckets, set_rem = SetBackend().split_by_group(expr, group_mask)
@@ -295,8 +297,6 @@ class TestBackendParityThreeWays:
     @given(terms=terms_strategy, tags_mask=st.integers(min_value=0, max_value=(1 << 8) - 1))
     @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_scatter_by_tags(self, monkeypatch, terms, tags_mask):
-        if not sortkernel.available():
-            pytest.skip("numpy unavailable")
         ctx = Context([f"v{i}" for i in range(8)])
         reference = SetBackend().scatter_by_tags(Anf(ctx, terms), tags_mask)
         monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
@@ -390,6 +390,92 @@ class TestConstructionKernels:
             t | disjoint for t in terms
         )
 
+    @given(terms=terms_strategy, bit=st.sampled_from([1, 1 << 7, 1 << 39, 1 << 63]))
+    @settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_scatter_tag(self, kernel_mode, terms, bit):
+        assert list(sortkernel.scatter_tag(_slab(terms), bit)) == sorted(
+            t & ~bit for t in terms if t & bit
+        )
+
+    @given(terms=terms_strategy)
+    @settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_popcount_rows(self, kernel_mode, terms):
+        assert sortkernel.popcount_rows(_slab(terms)) == sum(t.bit_count() for t in terms)
+
+    @given(terms=terms_strategy, mask=mask_strategy)
+    @settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_clear_bits_all_and_rows_contain_all(self, kernel_mode, terms, mask):
+        slab = _slab(terms)
+        assert sortkernel.rows_contain_all(slab, mask) == all(
+            t & mask == mask for t in terms
+        )
+        tag = (1 << 41) | (1 << 45)
+        tagged = sortkernel.or_into_all(slab, tag)
+        assert sortkernel.rows_contain_all(tagged, tag)
+        assert list(sortkernel.clear_bits_all(tagged, tag)) == list(slab)
+
+
+#: Every public kernel behind the ``set_core`` seam, with small arguments.
+CORE_KERNEL_CALLS = [
+    ("split_runs_by_group", "_split_runs", (_slab([1, 2, 3, 6]), 0b10)),
+    ("split_build_by_group", "_split_build", ([(1 << 50, _slab([1, 2, 3]))], 0b10)),
+    ("scatter_tag", "_scatter_tag", (_slab([1, 3, 4]), 0b1)),
+    ("xor_merge", "_xor_merge", (_slab([1, 2]), _slab([2, 5]))),
+    ("parity_merge", "_parity_merge", ([_slab([1, 2]), _slab([2, 5])],)),
+    ("product_rows", "_product_rows", (_slab([1, 2]), [4, 6])),
+    ("shared_literal_count", "_shared_literal_count", (_slab([3, 5]), _slab([5, 6]))),
+    ("popcount_rows", "_popcount_rows", (_slab([3, 5, 8]),)),
+]
+
+
+class TestKernelCore:
+    """The one seam: each public kernel runs its numpy body when no core is
+    installed, and hands its exact arguments to the installed core otherwise."""
+
+    @pytest.mark.parametrize("name, body, args", CORE_KERNEL_CALLS,
+                             ids=[call[0] for call in CORE_KERNEL_CALLS])
+    def test_public_kernel_dispatches_on_the_core(self, monkeypatch, name, body, args):
+        from types import SimpleNamespace
+
+        monkeypatch.setattr(sortkernel, "_core", None)
+        kernel = getattr(sortkernel, name)
+        assert kernel(*args) == getattr(sortkernel, body)(*args)
+        seen = []
+        answer = object()
+
+        def fake(*received):
+            seen.append(received)
+            return answer
+
+        sortkernel.set_core(SimpleNamespace(**{name: fake}))
+        assert kernel(*args) is answer
+        assert len(seen) == 1 and all(a is b for a, b in zip(seen[0], args))
+        sortkernel.set_core(None)
+        assert sortkernel._core is None
+        assert kernel(*args) == getattr(sortkernel, body)(*args)
+
+    def test_vector_path_starts_at_kernel_min_rows(self, monkeypatch):
+        """One row below the threshold stays per-term; at the threshold the
+        numpy body runs; both give the same rows."""
+        monkeypatch.setattr(sortkernel, "_core", None)
+        monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 32)
+        views = []
+        real_view = sortkernel._as_u64
+        monkeypatch.setattr(
+            sortkernel, "_as_u64", lambda words: views.append(len(words)) or real_view(words)
+        )
+        for rows in (31, 32):
+            views.clear()
+            slab = _slab(range(1, rows + 1))
+            runs, remainder = sortkernel.split_runs_by_group(slab, 0b11)
+            ref_runs, ref_remainder = sortkernel._split_runs_python(slab, 0b11)
+            assert [(p, list(r)) for p, r in runs] == [
+                (p, list(r)) for p, r in sorted(ref_runs)
+            ]
+            assert list(remainder) == list(ref_remainder)
+            assert sortkernel.popcount_rows(slab) == sum(t.bit_count() for t in slab)
+            assert bool(views) == (rows >= 32)
+
 
 class TestExpressionAccumulation:
     @given(st.lists(st.lists(st.integers(min_value=0, max_value=255), max_size=10), max_size=8))
@@ -406,8 +492,6 @@ class TestExpressionAccumulation:
                                                            unique=True, min_size=1, max_size=6))
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_matrix_product_matches_set_product(self, monkeypatch, large_terms, small_terms):
-        if not sortkernel.available():
-            pytest.skip("numpy unavailable")
         ctx = Context([f"v{i}" for i in range(41)])
         reference = Anf(ctx, large_terms) & Anf(ctx, small_terms)
         monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)

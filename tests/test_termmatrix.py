@@ -196,8 +196,9 @@ class TestBackendSelection:
             set_backend(previous)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_backend("bogus")
+        for name in ("bogus", "threaded"):
+            with pytest.raises(ValueError):
+                set_backend(name)
 
     def test_using_backend_restores(self):
         before = get_backend().name
