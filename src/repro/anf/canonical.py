@@ -17,11 +17,16 @@ different order can legitimately decompose differently.  Folding order into
 the digest keeps the result-cache contract exact — a warm hit is always the
 result the cold run would have produced.
 
-Flat Reed-Muller specs can carry hundreds of thousands of monomials (the
-15-bit comparator is megabytes of terms), so the digest avoids per-bit
-string work: masks are remapped through precomputed per-chunk permutation
-tables (two dict lookups per term for specs up to 32 variables) and hashed
-incrementally as fixed-width little-endian bytes.
+Flat Reed-Muller specs run to millions of monomials, so the digest reads
+the sorted ``uint64`` rows of an expression's packed
+:class:`~repro.anf.termmatrix.TermMatrix` in place (a set-backed expression
+is sorted into a temporary slab, never attached to it) and builds no
+per-term Python object.  Declaration order is index order, so the dense
+relabelling is an order-preserving bit compaction — one vector pass per run
+of consecutive support bits, none when the support is already dense — and
+the rows stay sorted.  Each row is hashed as its low ``mask_bytes``
+little-endian bytes.  Only masks wider than a 64-bit row take a per-term
+bit loop.
 
 This digest keys the on-disk result cache of the batch orchestrator
 (:mod:`repro.engine.batch`), together with the pipeline's ``config_key``.
@@ -33,79 +38,65 @@ import hashlib
 import json
 from typing import Dict, List, Mapping, Sequence
 
+import numpy as np
+
+from . import sortkernel
 from .expression import Anf
-
-_CHUNK_BITS = 16
-
-
-def _remap_tables(width: int, perm: Dict[int, int]) -> List[Dict[int, int]]:
-    """Per-chunk lookup tables applying the bit permutation ``perm``.
-
-    ``perm`` maps source bit positions to canonical bit positions (only bits
-    that can actually occur need entries).  Table ``c`` maps every value of
-    the ``c``-th :data:`_CHUNK_BITS`-bit chunk of a source mask to its
-    remapped image, so remapping a mask costs one lookup per chunk instead
-    of one iteration per set bit.
-    """
-    tables: List[Dict[int, int]] = []
-    for base in range(0, max(width, 1), _CHUNK_BITS):
-        chunk_bits = [
-            (1 << offset, 1 << perm[base + offset])
-            for offset in range(min(_CHUNK_BITS, width - base))
-            if base + offset in perm
-        ]
-        table = {0: 0}
-        for source_bit, target_bit in chunk_bits:
-            # Extend the table by this bit: every existing entry, with and
-            # without the new bit set.
-            for value, image in list(table.items()):
-                table[value | source_bit] = image | target_bit
-        tables.append(table)
-    return tables
+from .termmatrix import TERM_LIMIT
 
 
-def _canonical_parts(
-    outputs: Mapping[str, Anf],
-) -> tuple[List[str], Dict[str, List[int]]]:
-    """Declaration-ordered support names and densely relabelled term masks."""
+def _compact_rows(expr: Anf, support_mask: int) -> np.ndarray:
+    """``expr``'s rows with the bits of ``support_mask`` packed to the bottom."""
+    matrix = expr.term_matrix()
+    words = matrix.words if matrix is not None else sortkernel.sort_terms(
+        expr.terms, count=expr.num_terms
+    )
+    rows = np.frombuffer(words, dtype=np.uint64)
+    if support_mask & (support_mask + 1) == 0:
+        return rows  # already dense in the low bits
+    compacted = np.zeros_like(rows)
+    target = 0
+    for start, length in sortkernel._bit_runs(sortkernel._mask_bit_positions(support_mask)):
+        run = np.uint64(((1 << length) - 1) << target)
+        compacted |= (rows >> np.uint64(start - target)) & run
+        target += length
+    return compacted
+
+
+def _compact_terms(expr: Anf, support_mask: int) -> List[int]:
+    """Per-term fallback of :func:`_compact_rows` for masks wider than 64 bits."""
+    positions = sortkernel._mask_bit_positions(support_mask)
+    canonical = []
+    for mask in sorted(expr.terms):
+        image = 0
+        for target, source in enumerate(positions):
+            if mask >> source & 1:
+                image |= 1 << target
+        canonical.append(image)
+    return canonical
+
+
+def _canonical_parts(outputs: Mapping[str, Anf]) -> tuple[List[str], Dict[str, object]]:
+    """Declaration-ordered support names and each port's relabelled sorted
+    rows: a ``uint64`` vector, or a list of ints for masks wider than a row."""
     if not outputs:
         return [], {}
-    first = next(iter(outputs.values()))
-    ctx = first.ctx
+    ctx = next(iter(outputs.values())).ctx
     support_mask = 0
     for expr in outputs.values():
         ctx.require_same(expr.ctx)
         support_mask |= expr.support_mask
-    names = list(ctx.names_of(support_mask))
-    perm = {ctx.index(name): position for position, name in enumerate(names)}
-    tables = _remap_tables(len(ctx), perm)
-    chunk_mask = (1 << _CHUNK_BITS) - 1
-    rendered: Dict[str, List[int]] = {}
-    for port in sorted(outputs):
-        terms = outputs[port].terms
-        # Flat Reed-Muller specs run to ~10^6 monomials, so the one- and
-        # two-chunk cases (up to 32 variables) get loop-free remaps.
-        if len(tables) == 1:
-            table = tables[0]
-            remapped = [table[mask] for mask in terms]
-        elif len(tables) == 2:
-            low, high = tables
-            remapped = [
-                low[mask & chunk_mask] | high[mask >> _CHUNK_BITS] for mask in terms
-            ]
-        else:
-            remapped = []
-            for mask in terms:
-                canonical = 0
-                chunk = 0
-                while mask:
-                    canonical |= tables[chunk][mask & chunk_mask]
-                    mask >>= _CHUNK_BITS
-                    chunk += 1
-                remapped.append(canonical)
-        remapped.sort()
-        rendered[port] = remapped
-    return names, rendered
+    compact = _compact_rows if support_mask < TERM_LIMIT else _compact_terms
+    rendered = {port: compact(outputs[port], support_mask) for port in sorted(outputs)}
+    return list(ctx.names_of(support_mask)), rendered
+
+
+def _row_bytes(rows, mask_bytes: int) -> bytes:
+    """Rows as concatenated ``mask_bytes``-wide little-endian words."""
+    if isinstance(rows, list):
+        return b"".join(mask.to_bytes(mask_bytes, "little") for mask in rows)
+    little = rows.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    return little[:, :mask_bytes].tobytes()
 
 
 def canonical_spec_payload(
@@ -118,7 +109,13 @@ def canonical_spec_payload(
     bit *i* refers to ``support[i]``.
     """
     names, rendered = _canonical_parts(outputs)
-    payload: dict = {"support": names, "outputs": rendered}
+    payload: dict = {
+        "support": names,
+        "outputs": {
+            port: rows if isinstance(rows, list) else rows.tolist()
+            for port, rows in rendered.items()
+        },
+    }
     if input_words is not None:
         payload["input_words"] = [list(word) for word in input_words]
     return payload
@@ -138,7 +135,5 @@ def canonical_spec_digest(
     mask_bytes = (len(names) + 7) // 8 or 1
     for port in sorted(rendered):
         digest.update(port.encode("utf-8") + b"\0")
-        digest.update(
-            b"".join(mask.to_bytes(mask_bytes, "little") for mask in rendered[port])
-        )
+        digest.update(_row_bytes(rendered[port], mask_bytes))
     return digest.hexdigest()

@@ -45,15 +45,20 @@ import hashlib
 import json
 import os
 import tempfile
+from array import array
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 from typing import List, Optional
 
+import numpy as np
+
 from .. import faults
 
+from ..anf import sortkernel
 from ..anf.context import Context
 from ..anf.expression import Anf
+from ..anf.termmatrix import WORD_CODE, TermMatrix
 from ..core.decompose import Block, Decomposition, DecompositionOptions, IterationRecord
 from ..core.identities import Identity
 
@@ -71,10 +76,32 @@ ENGINE_CACHE_EPOCH = "epoch-1"
 # Decomposition (de)serialisation
 # ----------------------------------------------------------------------
 def _anf_to_list(expr: Anf) -> List[int]:
+    """Sorted monomial masks; an attached matrix already holds them sorted."""
+    matrix = expr.term_matrix()
+    if matrix is not None:
+        return matrix.to_list()
     return sorted(expr.terms)
 
 
 def _anf_from_list(ctx: Context, terms: List[int]) -> Anf:
+    """Rebuild a record's monomial list as an :class:`Anf`.
+
+    A list of at least :data:`~repro.anf.sortkernel.KERNEL_MIN_ROWS`
+    strictly ascending 64-bit masks — what :func:`_anf_to_list` writes for
+    every packable expression — decodes straight to a packed matrix, so a
+    warm hit on a wide spec never builds its frozenset.  Anything else
+    (short, hand-edited out of order, duplicated, wider than a row) keeps
+    the frozenset decode.
+    """
+    if len(terms) >= sortkernel.KERNEL_MIN_ROWS:
+        try:
+            words = array(WORD_CODE, terms)
+        except (OverflowError, TypeError):
+            pass
+        else:
+            rows = np.frombuffer(words, dtype=np.uint64)
+            if (rows[1:] > rows[:-1]).all():
+                return Anf._from_matrix(ctx, TermMatrix(words))
     return Anf._raw(ctx, frozenset(terms))
 
 

@@ -1,15 +1,29 @@
 """Tests for canonical spec hashing, the on-disk cache, and the orchestrator."""
 
+import hashlib
+import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reference_loop import reference_decomposition
 from test_engine_parity import assert_bit_identical
 
-from repro.anf import Context, canonical_spec_digest, canonical_spec_payload, majority, parse, variables
-from repro.benchcircuits import adder_spec, counter_spec, majority_spec
+from repro.anf import (
+    Anf,
+    Context,
+    TermMatrix,
+    canonical_spec_digest,
+    canonical_spec_payload,
+    majority,
+    parse,
+    sortkernel,
+    variables,
+)
+from repro.benchcircuits import adder_spec, counter_spec, lzd_spec, majority_spec
 from repro.core import DecompositionOptions, progressive_decomposition
+from repro.core.decompose import Decomposition
 from repro.engine import (
     BatchJob,
     BatchOrchestrator,
@@ -20,6 +34,7 @@ from repro.engine import (
     deserialize_decomposition,
     serialize_decomposition,
 )
+from repro.service.jobs import CIRCUITS
 
 
 def _majority_outputs(width=7):
@@ -68,8 +83,7 @@ class TestCanonicalDigest:
             first.outputs, first.input_words
         ) == canonical_spec_digest(second.outputs, second.input_words)
 
-    def test_wide_spec_uses_multiple_chunks(self):
-        # > 16 variables exercises the multi-chunk remap path.
+    def test_wide_spec_same_digest_across_contexts(self):
         spec = adder_spec(10)
         twin = adder_spec(10)
         assert canonical_spec_digest(spec.outputs) == canonical_spec_digest(twin.outputs)
@@ -78,6 +92,198 @@ class TestCanonicalDigest:
         ctx = Context()
         digest = canonical_spec_digest({"zero": parse(ctx, "0"), "one": parse(ctx, "1")})
         assert isinstance(digest, str) and len(digest) == 64
+
+
+#: Hex spec digest and default-pipeline cache key of every service circuit
+#: family at two widths.  Cache records are addressed by these keys, so any
+#: change to the canonical form orphans every stored result: the values are
+#: frozen, not recomputed.
+PINNED_DIGESTS = {
+    ("adder", 4): (
+        "48f85bf565cd2ec560d1b8e8bcb077ffb01fc66c9eb93983574f8a7c6892ee8e",
+        "4d5e7a616609c5ab3aae6b2433b17f54c0aadb3c2842bbcea857c363e52e4e75",
+    ),
+    ("adder", 10): (
+        "0df305ebf3d041725c1fd86c43d56f4fd2dabcd29f9e6eb624c8a7cadc15ac05",
+        "a3e5680d49decc35a3bccd6bc5ae0f0548a0da57bafe31a791e2b0db46bfa682",
+    ),
+    ("comparator", 6): (
+        "5f39423a6cc746c59ca89b2a2bb0b2301bebcf3d6b74cb5ff35c07c15c6b83cc",
+        "4f175ae4e7a689e4eeeb758604d6393020d0c31fc9b835055def2c8bc07117e0",
+    ),
+    ("comparator", 12): (
+        "e6b2a7a97a6c74f456528503147f30951ea66db93cad1678918a6c374ec35fc8",
+        "68b694b341167a42381f9d303f0d9d1d7b3c11b5778424df3608cc3011ca637f",
+    ),
+    ("counter", 5): (
+        "ad9b197839bde63597e836a40e5917c5e733547a07a64c2395ae775ddaa56cc8",
+        "911ba7d89cf606c6fe1b0bfde4e7808e3a328df74d109e3a275b668c123c8a77",
+    ),
+    ("counter", 9): (
+        "89b9e840c91f6a4f5d53545bb6e1ff342950f1ec1c4ad8deec5a0aaf860ef701",
+        "25d9c2a0e170018bb371711a7558d563a2732a603f95eccbdf0b5522f0a28696",
+    ),
+    ("lod", 8): (
+        "e9791b32c58da802bb6e768c1668c0a056cc1fbb216fd3c1fab196d05042947a",
+        "04f92e625b4b30c2d5d822dead6f09ebcd70ced2e01c2750ae4e8432bc14660e",
+    ),
+    ("lod", 16): (
+        "5440daf8c99096dff2285aba5aa91666b31b303c414cb27f5079677f5d666256",
+        "94cf535ab7d364e0fdd1b7888722a1a63ae43c159a94904f189c47f7248c1384",
+    ),
+    ("lzd", 8): (
+        "5a88b9fbfc1aecc1b42771517d8533498f1746c3049e3c17fa6a81cb3e334d8b",
+        "c67c6e41ad3c049a4462ed64bc7d54ba88efaf04166baa35644d1b9bcb0d2c6e",
+    ),
+    ("lzd", 12): (
+        "d8d856c3bde6cc2de27692059a7b257a40cf14845a197089e030678f83ceb0d5",
+        "3da8906f8c6aee9e44c92d43f3e2a2b656d05f85eeef8e64d07887e683d325e8",
+    ),
+    ("majority", 5): (
+        "ab5b8c10ff34043335dd9387f68360c495483eb14d8a44e8c8941c18370658c1",
+        "53f500e99a65a9345f91c10498d24a5f7fa82b16306127ade72c89c841007b9b",
+    ),
+    ("majority", 9): (
+        "4b4999c300b22ffdc9b07be84ed74af5f0c5e8301fd0cf8b6e0894a414d4605b",
+        "a223676afba3b30cdfd406325edf52884fb62a7a89990a0ae4d6b2c5c675fb91",
+    ),
+    ("three_input_adder", 3): (
+        "d53d8de2a57ac5281cd202e7276887622100c6a437004a94dfde0a18256e94d9",
+        "37af53bc8e1aeae6df270ccfd5f21bb00058f28add39ad98df639704506e2d98",
+    ),
+    ("three_input_adder", 5): (
+        "3287a44aa207da61a9979f8a035b8d2276082d468cb5927eabf44826fe191fd3",
+        "d10a7881bf383bc8634932684b9be6c525ac823f79d62e4dde8de9dc591c5921",
+    ),
+}
+
+
+class TestPinnedDigests:
+    def test_every_circuit_family_is_pinned(self):
+        assert {family for family, _ in PINNED_DIGESTS} == set(CIRCUITS)
+
+    @pytest.mark.parametrize(
+        "family,width", sorted(PINNED_DIGESTS), ids=lambda value: str(value)
+    )
+    def test_circuit_digest_and_cache_key(self, family, width):
+        spec = CIRCUITS[family](width)
+        digest = canonical_spec_digest(spec.outputs, spec.input_words)
+        key = cache_key(digest, Pipeline.from_options(None).config_key())
+        assert (digest, key) == PINNED_DIGESTS[(family, width)]
+
+    def test_permuted_declaration_with_an_unused_variable(self):
+        ctx = Context(["c", "t", "a", "d", "b"])
+        outputs = {"f": parse(ctx, "a*b ^ c*d ^ a ^ 1"), "g": parse(ctx, "b*c ^ d")}
+        words = [["a", "b"], ["c", "d"]]
+        assert canonical_spec_payload(outputs, words) == {
+            "support": ["c", "a", "d", "b"],
+            "outputs": {"f": [0, 2, 5, 10], "g": [4, 9]},
+            "input_words": words,
+        }
+        assert canonical_spec_digest(outputs, words) == (
+            "8cc05d0e2be67b1ddb4ac58d48f77eb605bfe2e9d4cfe6d5def519a6822e10fa"
+        )
+
+    def test_inputs_behind_seventy_tags(self):
+        # Source masks reach bit 75, beyond any 64-bit row.
+        ctx = Context([f"tag{i}" for i in range(70)] + [f"x{i}" for i in range(6)])
+        outputs = {"f": parse(ctx, "x0*x1 ^ x2*x3*x4 ^ x5 ^ 1"), "g": parse(ctx, "x1*x5 ^ x0")}
+        assert canonical_spec_payload(outputs) == {
+            "support": [f"x{i}" for i in range(6)],
+            "outputs": {"f": [0, 3, 28, 32], "g": [1, 34]},
+        }
+        assert canonical_spec_digest(outputs) == (
+            "46b01a5808a7c1dbc2917deb257041406fcc6c04fc7bcf72628fd3efa42c06b2"
+        )
+
+    def test_support_wider_than_a_row(self):
+        # 72 support variables: canonical masks need 9 bytes each.
+        ctx = Context([f"v{i}" for i in range(72)])
+        outputs = {
+            "f": parse(ctx, " ^ ".join(f"v{i}*v{(i * 7 + 3) % 72}" for i in range(72))),
+            "g": parse(ctx, "v71 ^ v0*v64 ^ 1"),
+        }
+        assert canonical_spec_digest(outputs) == (
+            "3712bad5655ac8dc4cf0f463c494324a5f5968be579adff0477fd306193a2f14"
+        )
+
+
+def _reference_remap(outputs):
+    """Per-term oracle: relabel each support bit to its declaration rank."""
+    ctx = next(iter(outputs.values())).ctx
+    support = 0
+    for expr in outputs.values():
+        support |= expr.support_mask
+    names = list(ctx.names_of(support))
+    rank = {ctx.index(name): position for position, name in enumerate(names)}
+    rendered = {}
+    for port in sorted(outputs):
+        rendered[port] = sorted(
+            sum(1 << rank[bit] for bit in range(mask.bit_length()) if mask >> bit & 1)
+            for mask in outputs[port].terms
+        )
+    return names, rendered
+
+
+def _reference_payload(outputs, input_words):
+    names, rendered = _reference_remap(outputs)
+    payload = {"support": names, "outputs": rendered}
+    if input_words is not None:
+        payload["input_words"] = [list(word) for word in input_words]
+    return payload
+
+
+def _reference_digest(outputs, input_words):
+    names, rendered = _reference_remap(outputs)
+    header = {"support": names, "ports": sorted(rendered)}
+    if input_words is not None:
+        header["input_words"] = [list(word) for word in input_words]
+    digest = hashlib.sha256(
+        json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    )
+    width = (len(names) + 7) // 8 or 1
+    for port in sorted(rendered):
+        digest.update(port.encode("utf-8") + b"\0")
+        digest.update(b"".join(mask.to_bytes(width, "little") for mask in rendered[port]))
+    return digest.hexdigest()
+
+
+@st.composite
+def _interleaved_specs(draw):
+    """Specs whose inputs sit among extra context variables in random order.
+
+    With ``wide`` set, 64 more tags join the shuffle, so some source masks
+    no longer fit a 64-bit row.  Each output is set-backed, set-backed with
+    an attached matrix, or matrix-only.
+    """
+    n_inputs = draw(st.integers(1, 10))
+    n_tags = draw(st.integers(0, 8)) + (64 if draw(st.booleans()) else 0)
+    names = [f"x{i}" for i in range(n_inputs)] + [f"t{i}" for i in range(n_tags)]
+    ctx = Context(draw(st.permutations(names)))
+    bits = [1 << ctx.index(f"x{i}") for i in range(n_inputs)]
+    outputs = {}
+    for port in draw(st.lists(st.sampled_from("fghk"), min_size=1, max_size=3, unique=True)):
+        subsets = draw(st.lists(st.integers(0, (1 << n_inputs) - 1), max_size=40))
+        expr = Anf(ctx, [sum(bit for i, bit in enumerate(bits) if s >> i & 1) for s in subsets])
+        storage = draw(st.sampled_from(["set", "both", "matrix"]))
+        if storage == "both":
+            expr.term_matrix(build=True)
+        elif storage == "matrix":
+            matrix = TermMatrix.from_terms(expr.terms)
+            if matrix is not None:
+                expr = Anf._from_matrix(ctx, matrix)
+        outputs[port] = expr
+    words = [[f"x{i}" for i in range(n_inputs)]] if draw(st.booleans()) else None
+    return outputs, words
+
+
+class TestCanonicalRemapOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(_interleaved_specs())
+    def test_digest_and_payload_match_per_term_remap(self, spec):
+        outputs, words = spec
+        assert canonical_spec_payload(outputs, words) == _reference_payload(outputs, words)
+        assert canonical_spec_digest(outputs, words) == _reference_digest(outputs, words)
 
 
 class TestSerialization:
@@ -93,6 +299,83 @@ class TestSerialization:
     def test_rejects_unknown_schema(self):
         with pytest.raises(ValueError):
             deserialize_decomposition({"schema": "bogus"})
+
+
+def _bare_decomposition(outputs):
+    """A decomposition with no blocks: just a spec to (de)serialise."""
+    ctx = next(iter(outputs.values())).ctx
+    return Decomposition(
+        ctx=ctx, original=dict(outputs), outputs=dict(outputs), blocks=[],
+        iterations=[], options=DecompositionOptions(), primary_inputs=list(ctx.names),
+    )
+
+
+def _is_matrix_backed(expr):
+    return expr._terms is None and expr.term_matrix() is not None
+
+
+class TestPackedSerialization:
+    """Digest and record I/O keep wide specs packed, and records stay sorted."""
+
+    def test_digest_and_store_build_no_second_storage(self):
+        source = lzd_spec(12).outputs["v"]
+        terms = source.term_list()
+        outputs = {
+            "packed": Anf._from_matrix(source.ctx, TermMatrix.from_terms(terms)),
+            "plain": Anf(source.ctx, terms),
+        }
+        canonical_spec_digest(outputs)
+        serialize_decomposition(_bare_decomposition(outputs))
+        assert outputs["packed"]._terms is None
+        assert outputs["plain"].term_matrix() is None
+
+    def test_store_after_decomposition_keeps_originals_packed(self):
+        spec = lzd_spec(12)
+        decomposition = progressive_decomposition(spec.outputs, input_words=spec.input_words)
+        packed = [p for p, e in decomposition.original.items() if _is_matrix_backed(e)]
+        assert packed
+        serialize_decomposition(decomposition)
+        assert all(decomposition.original[p]._terms is None for p in packed)
+
+    def test_set_backed_expression_with_attached_matrix_serialises_sorted(self):
+        ctx = Context([f"v{i}" for i in range(24)])
+        terms = [(1 << 20) | 1, 3, 1 << 22, (1 << 10) | 1, 17, 1 << 16, 0]
+        expr = Anf(ctx, terms)
+        assert list(expr.terms) != sorted(terms)  # frozenset order is not sorted
+        assert expr.term_matrix(build=True) is not None
+        record = serialize_decomposition(_bare_decomposition({"f": expr}))
+        assert record["original"]["f"] == sorted(terms)
+        assert record["outputs"]["f"] == sorted(terms)
+
+    def test_wide_round_trip_is_byte_identical_and_packed(self):
+        spec = lzd_spec(12)
+        decomposition = progressive_decomposition(spec.outputs, input_words=spec.input_words)
+        record = serialize_decomposition(decomposition)
+        rebuilt = deserialize_decomposition(record)
+        assert json.dumps(serialize_decomposition(rebuilt)) == json.dumps(record)
+        wide = [p for p, e in rebuilt.original.items()
+                if e.num_terms >= sortkernel.KERNEL_MIN_ROWS]
+        assert wide
+        for port, expr in rebuilt.original.items():
+            assert _is_matrix_backed(expr) == (port in wide), port
+        assert_bit_identical(decomposition, rebuilt)
+        assert rebuilt.verify()
+
+    @pytest.mark.parametrize("edit", ["reversed", "duplicated", "too-wide"])
+    def test_hand_edited_wide_list_decodes_through_the_set_path(self, edit):
+        spec = lzd_spec(12)
+        record = serialize_decomposition(_bare_decomposition(spec.outputs))
+        terms = record["original"]["v"]
+        assert len(terms) >= sortkernel.KERNEL_MIN_ROWS
+        edited = {
+            "reversed": terms[::-1],
+            "duplicated": terms + terms[:1],
+            "too-wide": terms + [1 << 70],
+        }[edit]
+        record["original"]["v"] = edited
+        decoded = deserialize_decomposition(record).original["v"]
+        assert decoded.term_matrix() is None
+        assert decoded.terms == frozenset(edited)
 
 
 class TestDecompositionCache:
