@@ -1,10 +1,11 @@
 /* Cache-resident C kernels for the packed term-matrix hot paths.
  *
  * Every function operates on contiguous slabs of native-endian uint64 rows
- * exposed through the buffer protocol (``array('Q')``, ``bytearray``, or a
- * C-contiguous numpy uint64 vector) and releases the GIL around its hot
- * loop.  The Python-facing contracts — what the inputs mean, when a kernel
- * declines, and the exact result semantics — live in ``repro.anf.cnative``,
+ * exposed through the buffer protocol (the read-only numpy ``uint64`` row
+ * vectors of ``TermMatrix``, or a writable ``bytearray``/numpy scratch slab)
+ * and releases the GIL around its hot loop.  The Python-facing contracts —
+ * what the inputs mean, when a kernel declines, and the exact result
+ * semantics — live in ``repro.anf.cnative``,
  * which wraps this module and falls back to the numpy kernels in
  * ``repro.anf.sortkernel`` whenever it is missing.
  *

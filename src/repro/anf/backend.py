@@ -14,14 +14,16 @@ representation-dependent kernels live here, behind one interface:
 
 :class:`PackedBackend` (``"packed"``, the default)
     Routes the kernels through :class:`~repro.anf.termmatrix.TermMatrix`:
-    per-term scans become word-parallel sweeps over contiguous ``array('Q')``
-    memory and big-integer operations, and the expressions flowing between
-    pipeline stages stay matrix-backed so frozensets are only materialised
-    when a consumer genuinely needs set semantics.
+    per-term scans become vectorised sweeps over one read-only numpy
+    ``uint64`` row vector per expression (:mod:`repro.anf.sortkernel`), and
+    the expressions flowing between pipeline stages stay matrix-backed so
+    frozensets are only materialised when a consumer genuinely needs set
+    semantics.
 
 :class:`NativeBackend` (``"native"``)
     The packed representation with its whole-slab kernels running on the
-    compiled C extension (:mod:`repro.anf.cnative`).
+    compiled C extension (:mod:`repro.anf.cnative`), which reads and returns
+    the same row vectors.
 
 All backends compute the *same canonical term sets* for every kernel — the
 parity test-suite runs the full engine under each and asserts bit-identical
@@ -34,6 +36,8 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import sortkernel
 from .context import Context
@@ -169,10 +173,10 @@ class PackedBackend(SetBackend):
         # are born canonical.
         runs, remainder = sortkernel.split_runs_by_group(matrix.words, group_mask)
         result = {
-            group_part: Anf._from_matrix(ctx, TermMatrix.from_sorted(rest))
+            group_part: Anf._from_matrix(ctx, TermMatrix(rest))
             for group_part, rest in runs
         }
-        return result, Anf._from_matrix(ctx, TermMatrix.from_sorted(remainder))
+        return result, Anf._from_matrix(ctx, TermMatrix(remainder))
 
     # ------------------------------------------------------------------
     def combine_tagged(
@@ -210,7 +214,7 @@ class PackedBackend(SetBackend):
             bits_union |= bit
         if group_mask & bits_union:
             return None
-        slabs: List[Tuple[int, "array"]] = []
+        slabs: List[Tuple[int, np.ndarray]] = []
         for bit, expr in items:
             if bit >= TERM_LIMIT:
                 return None
@@ -220,10 +224,10 @@ class PackedBackend(SetBackend):
             slabs.append((bit, matrix.words))
         runs, remainder = sortkernel.split_build_by_group(slabs, group_mask)
         buckets = {
-            group_part: Anf._from_matrix(ctx, TermMatrix.from_sorted(rest))
+            group_part: Anf._from_matrix(ctx, TermMatrix(rest))
             for group_part, rest in runs
         }
-        return buckets, Anf._from_matrix(ctx, TermMatrix.from_sorted(remainder))
+        return buckets, Anf._from_matrix(ctx, TermMatrix(remainder))
 
     # ------------------------------------------------------------------
     def scatter_by_tags(self, expr: Anf, tags_mask: int) -> Dict[int, Anf]:
@@ -250,7 +254,7 @@ class PackedBackend(SetBackend):
             present ^= bit
             rows = sortkernel.scatter_tag(matrix.words, bit)
             if len(rows):
-                result[bit] = Anf._from_matrix(ctx, TermMatrix.from_sorted(rows))
+                result[bit] = Anf._from_matrix(ctx, TermMatrix(rows))
         return result
 
     # ------------------------------------------------------------------

@@ -48,10 +48,9 @@ from .termmatrix import TERM_LIMIT
 def _compact_rows(expr: Anf, support_mask: int) -> np.ndarray:
     """``expr``'s rows with the bits of ``support_mask`` packed to the bottom."""
     matrix = expr.term_matrix()
-    words = matrix.words if matrix is not None else sortkernel.sort_terms(
+    rows = matrix.words if matrix is not None else sortkernel.sort_terms(
         expr.terms, count=expr.num_terms
     )
-    rows = np.frombuffer(words, dtype=np.uint64)
     if support_mask & (support_mask + 1) == 0:
         return rows  # already dense in the low bits
     compacted = np.zeros_like(rows)

@@ -9,6 +9,12 @@ kernels use; everything else — missing extension, tiny slabs, masks wider
 than ``RADIX_MAX_GROUP_BITS`` — delegates to the sortkernel numpy body, so
 the semantics are those of the packed backend bit for bit.
 
+The extension reads the read-only ``uint64`` row vectors of
+:class:`~repro.anf.termmatrix.TermMatrix` through the buffer protocol and
+writes its results into fresh ``bytearray`` buffers, which come back as
+zero-copy (read-only) ``np.frombuffer`` views — the same row type every
+sortkernel kernel returns.
+
 The extension build is optional (``setup.py`` marks it ``optional=True``):
 importing this module never fails.  :func:`warn_if_missing` — called by the
 backend's ``activate`` hook — emits a one-time :class:`RuntimeWarning` when
@@ -19,13 +25,12 @@ user asked for native speed and is silently getting numpy speed.
 from __future__ import annotations
 
 import warnings
-from array import array
 from typing import List, Sequence, Tuple
 
 import numpy as _np
 
 from . import sortkernel
-from .sortkernel import ROW_MASK, WORD_CODE
+from .sortkernel import ROW_MASK
 
 try:  # pragma: no cover - both arms are covered by the fallback tests
     from ._ckernel import _impl as _C
@@ -56,19 +61,29 @@ def warn_if_missing() -> None:
         )
 
 
-def _from_bytes(raw) -> array:
-    """Wrap a C-produced row buffer (bytearray/memoryview) as ``array('Q')``."""
-    out = array(WORD_CODE)
-    out.frombytes(raw)
-    return out
+def _rows(raw) -> _np.ndarray:
+    """A C-produced ``bytearray`` of rows as a read-only vector (no copy)."""
+    return sortkernel._frozen(_np.frombuffer(raw, dtype=_np.uint64))
+
+
+def _sorted_parity(rows: _np.ndarray) -> _np.ndarray:
+    """Radix-sort a writable slab in place down to its odd-count rows.
+
+    ``sort_parity`` compacts the survivors into the prefix; the in-place
+    resize reallocates the buffer to them, so the cancelled tail is freed
+    instead of pinned behind a view.
+    """
+    survivors = _C.sort_parity(rows)
+    rows.resize(survivors, refcheck=False)
+    return rows
 
 
 # ----------------------------------------------------------------------
 # Kernels (signature-compatible with sortkernel's public ones)
 # ----------------------------------------------------------------------
 def split_runs_by_group(
-    words: array, group_mask: int, or_mask: int = 0
-) -> Tuple[List[Tuple[int, array]], array]:
+    words: _np.ndarray, group_mask: int, or_mask: int = 0
+) -> Tuple[List[Tuple[int, _np.ndarray]], _np.ndarray]:
     """Fused compress + histogram + gather radix split, in one C pass each.
 
     ``_impl.split_radix`` returns ``None`` for empty masks and masks wider
@@ -92,68 +107,56 @@ def split_runs_by_group(
         # numpy kernel).
         return [], words
     return (
-        [(part, _from_bytes(rows)) for part, rows in zip(parts, buckets)],
-        _from_bytes(remainder),
+        [(part, _rows(rows)) for part, rows in zip(parts, buckets)],
+        _rows(remainder),
     )
 
 
 def split_build_by_group(
-    tagged_slabs: Sequence[Tuple[int, array]], group_mask: int
-) -> Tuple[List[Tuple[int, array]], array]:
+    tagged_slabs: Sequence[Tuple[int, _np.ndarray]], group_mask: int
+) -> Tuple[List[Tuple[int, _np.ndarray]], _np.ndarray]:
     return sortkernel._split_build(tagged_slabs, group_mask, split=split_runs_by_group)
 
 
-def scatter_tag(words: array, bit: int) -> array:
+def scatter_tag(words: _np.ndarray, bit: int) -> _np.ndarray:
     if (
         _C is None
         or bit > ROW_MASK
         or len(words) < sortkernel.KERNEL_MIN_ROWS
     ):
         return sortkernel._scatter_tag(words, bit)
-    return _from_bytes(_C.scatter_tag(words, bit))
+    return _rows(_C.scatter_tag(words, bit))
 
 
-def xor_merge(left: array, right: array) -> array:
+def xor_merge(left: _np.ndarray, right: _np.ndarray) -> _np.ndarray:
     if not len(left):
         return right
     if not len(right):
         return left
     if _C is None or len(left) + len(right) < sortkernel.KERNEL_MIN_ROWS:
         return sortkernel._xor_merge(left, right)
-    return _from_bytes(_C.xor_merge(left, right))
+    return _rows(_C.xor_merge(left, right))
 
 
-def parity_merge(slabs: Sequence[array]) -> array:
+def parity_merge(slabs: Sequence[_np.ndarray]) -> _np.ndarray:
     alive = [s for s in slabs if len(s)]
     if not alive:
-        return array(WORD_CODE)
-    total = sum(len(s) for s in alive)
-    if _C is None or total < sortkernel.KERNEL_MIN_ROWS:
-        return sortkernel._parity_merge(slabs)
-    # One writable slab holding the whole multiset; ``sort_parity`` radix-
-    # sorts it in place and compacts the odd-count rows into its prefix.
-    buf = bytearray(total * 8)
-    view = memoryview(buf)
-    pos = 0
-    for slab in alive:
-        raw = memoryview(slab).cast("B")
-        view[pos : pos + len(raw)] = raw
-        pos += len(raw)
-    survivors = _C.sort_parity(buf)
-    return _from_bytes(view[: survivors * 8])
+        return sortkernel.EMPTY
+    if _C is None or sum(len(s) for s in alive) < sortkernel.KERNEL_MIN_ROWS:
+        return sortkernel._parity_merge(alive)
+    # One fresh writable slab holding the whole multiset.
+    return sortkernel._frozen(_sorted_parity(_np.concatenate(alive)))
 
 
-def product_rows(large: array, small_terms: Sequence[int]) -> array:
+def product_rows(large: _np.ndarray, small_terms: Sequence[int]) -> _np.ndarray:
     terms = list(small_terms)
     if _C is None or len(large) * len(terms) < sortkernel.KERNEL_MIN_ROWS:
         return sortkernel._product_rows(large, small_terms)
-    rows = _np.frombuffer(large, dtype=_np.uint64)
-    raw = _product_rec(rows, [term & ROW_MASK for term in terms])
-    return _from_bytes(raw)
+    return sortkernel._frozen(_product_rec(large, [term & ROW_MASK for term in terms]))
 
 
-def _product_rec(rows, terms: List[int]):
-    """Parity-reduced ``XOR(terms) * rows`` as a raw row buffer.
+def _product_rec(rows: _np.ndarray, terms: List[int]) -> _np.ndarray:
+    """Parity-reduced ``XOR(terms) * rows`` as a canonical row vector.
 
     Mirrors sortkernel's divide-and-conquer slab budget
     (``PRODUCT_SLAB_ROWS``); the halves are canonical (sorted, distinct), so
@@ -161,19 +164,15 @@ def _product_rec(rows, terms: List[int]):
     """
     if len(terms) * len(rows) <= sortkernel.PRODUCT_SLAB_ROWS or len(terms) <= 2:
         n = len(rows)
-        buf = bytearray(len(terms) * n * 8)
-        out = _np.frombuffer(buf, dtype=_np.uint64)
+        out = _np.empty(len(terms) * n, dtype=_np.uint64)
         for i, term in enumerate(terms):
             _np.bitwise_or(rows, _np.uint64(term), out=out[i * n : (i + 1) * n])
-        survivors = _C.sort_parity(buf)
-        return memoryview(buf)[: survivors * 8]
+        return _sorted_parity(out)
     mid = len(terms) // 2
-    return _C.xor_merge(
-        _product_rec(rows, terms[:mid]), _product_rec(rows, terms[mid:])
-    )
+    return _rows(_C.xor_merge(_product_rec(rows, terms[:mid]), _product_rec(rows, terms[mid:])))
 
 
-def shared_literal_count(left: array, right: array) -> int:
+def shared_literal_count(left: _np.ndarray, right: _np.ndarray) -> int:
     if (
         _C is None
         or min(len(left), len(right)) == 0
@@ -184,10 +183,6 @@ def shared_literal_count(left: array, right: array) -> int:
 
 
 def popcount_rows(words) -> int:
-    if (
-        _C is None
-        or not isinstance(words, array)
-        or len(words) < sortkernel.KERNEL_MIN_ROWS
-    ):
+    if _C is None or len(words) < sortkernel.KERNEL_MIN_ROWS:
         return sortkernel._popcount_rows(words)
     return _C.popcount_rows(words)

@@ -223,7 +223,7 @@ class Anf:
         terms = self._terms
         if terms is None:
             matrix = self._matrix
-            return matrix.count == 1 and matrix.words[0] == 0
+            return matrix.count == 1 and int(matrix.words[0]) == 0
         return terms == frozenset({0})
 
     @property
@@ -359,7 +359,7 @@ class Anf:
             matrix = large.term_matrix(build=True)
             if matrix is not None:
                 rows = sortkernel.product_rows(matrix.words, small.term_list())
-                return Anf._from_matrix(self._ctx, TermMatrix.from_sorted(rows))
+                return Anf._from_matrix(self._ctx, TermMatrix(rows))
         if disjoint:
             # Disjoint supports make (left, right) -> left | right injective
             # (each factor is recovered by masking with its own support), so
@@ -448,7 +448,7 @@ class Anf:
         left_matrix = self.term_matrix()
         right_matrix = other.term_matrix()
         if left_matrix is not None and right_matrix is not None:
-            return left_matrix.words == right_matrix.words
+            return left_matrix.equal_rows(right_matrix)
         if self.support_mask != other.support_mask:
             return False
         if self.literal_count != other.literal_count:
@@ -491,8 +491,7 @@ class Anf:
     def evaluate_mask(self, ones_mask: int) -> int:
         """Evaluate with variable values given as a bitmask of true variables."""
         # Iterate whichever storage is live: truth-table loops call this once
-        # per assignment, so a per-call to_list() materialisation would turn
-        # O(2^n) evaluations into O(2^n * terms) allocations.
+        # per assignment, so it must not build (and cache) a frozenset.
         result = 0
         for term in self._term_iterable():
             if term & ones_mask == term:
@@ -500,9 +499,13 @@ class Anf:
         return result
 
     def _term_iterable(self):
-        """The live storage's terms, with no materialisation or copy."""
+        """The live storage's terms as Python ints, with no frozenset built.
+
+        Matrix rows go through ``tolist()``: ``np.uint64`` scalars would
+        raise on masks wider than a row (contexts past 64 variables).
+        """
         terms = self._terms
-        return terms if terms is not None else self._matrix.words
+        return terms if terms is not None else self._matrix.to_list()
 
     def substitute(self, mapping: Mapping[str, "Anf"]) -> "Anf":
         """Replace variables by expressions (simultaneously).
@@ -663,7 +666,7 @@ def xor_accumulate(exprs: Iterable[Anf], ctx: Context) -> Anf:
             # back to pairwise folds for the rest of the stream.
             merged = batch if accumulated is None else [accumulated, *batch]
             rows = sortkernel.parity_merge(merged)
-            residue = Anf._from_matrix(ctx, TermMatrix.from_sorted(rows)) ^ expr
+            residue = Anf._from_matrix(ctx, TermMatrix(rows)) ^ expr
             batch, batch_rows = [], 0
             continue
         last_alive = expr
@@ -681,7 +684,7 @@ def xor_accumulate(exprs: Iterable[Anf], ctx: Context) -> Anf:
         return last_alive
     merged = batch if accumulated is None else [accumulated, *batch]
     return Anf._from_matrix(
-        ctx, TermMatrix.from_sorted(sortkernel.parity_merge(merged))
+        ctx, TermMatrix(sortkernel.parity_merge(merged))
     )
 
 

@@ -1,13 +1,12 @@
 """Whole-matrix sort/scan kernels over packed term matrices.
 
-PR 3's :class:`~repro.anf.termmatrix.TermMatrix` made the whole-expression
-*queries* word-parallel (popcounts, OR-folds, replicated masks), but the
-remaining comparator floor was still per-term Python: the bucketing loop in
-the packed ``split_by_group``, the multi-tag scatter, the one-time
-``sorted(frozenset)`` pack of a spec, and the cancel-adjacent loop of
-``xor_sorted``.  This module eliminates those by treating the matrix as what
-it physically is — one contiguous slab of unsigned 64-bit rows — and running
-every remaining O(terms) scan as a handful of vectorised passes:
+Every O(terms) scan of the packed backend — the bucketing of
+``split_by_group``, the multi-tag scatter, the pack of a spec, the
+cancel-adjacent sweep of ``xor_sorted`` and the whole-matrix queries and
+rewrites of :class:`~repro.anf.termmatrix.TermMatrix` (popcount, OR-fold,
+``| mask`` and ``& ~mask``) — runs here as a handful of vectorised passes
+over what a matrix physically is: one contiguous slab of unsigned 64-bit
+rows.
 
 ``split_runs_by_group``
     The bucketing kernel behind ``split_by_group``.  The key space is tiny —
@@ -37,16 +36,24 @@ every remaining O(terms) scan as a handful of vectorised passes:
     them in one sorted sweep, instead of XOR-ing partials one at a time
     (which is quadratic in the result size).
 
-``shared_literal_count`` / ``support_fold``
-    Scan-side helpers for the optimisation passes: literals shared between
-    two sorted slabs, and the OR-fold of a slab.
+``shared_literal_count`` / ``support_fold`` / ``popcount_rows`` / ``or_into_all`` / ``clear_bits_all`` / ``rows_contain_all``
+    Scan helpers: literals shared between two sorted slabs (for the
+    optimisation passes), and the whole-matrix queries and rewrites behind
+    :class:`~repro.anf.termmatrix.TermMatrix`.
+
+Every kernel takes and returns the one packed spelling of a term set: a
+read-only, C-contiguous :mod:`numpy` ``uint64`` vector of rows (the
+``TermMatrix.words`` invariant).  Results are sealed read-only where they
+are built, so slabs can be shared between matrices without copies.
 
 All kernels are exact and representation-transparent: they compute the same
 canonical term sets as the per-term reference loops, which the property
-tests in ``tests/test_sortkernel.py`` assert on arbitrary inputs.  The
-heavy lifting runs in :mod:`numpy`; tiny inputs skip it — below
-:data:`KERNEL_MIN_ROWS` rows the fixed cost of array round-trips exceeds
-the per-term loop it replaces.
+tests in ``tests/test_sortkernel.py`` assert on arbitrary inputs.  Each
+kernel owns its small/large decision: below :data:`KERNEL_MIN_ROWS` rows
+the fixed numpy call overhead exceeds the per-term loop it replaces, so
+tiny inputs iterate ``words.tolist()`` (Python ints — ``np.uint64``
+arithmetic would raise on masks wider than a row) and only the result is
+packed.
 
 The whole-slab kernels have one seam (:func:`set_core`): the ``native``
 backend installs :mod:`repro.anf.cnative` there, and every public kernel
@@ -57,7 +64,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as _np
@@ -94,8 +100,8 @@ def _env_int(name: str, default: int, minimum: int = 0) -> int:
     return parsed
 
 
-#: Row count below which the per-term Python paths win (array round-trip
-#: costs dominate); measured on the quick-width sweep.  Tunable via
+#: Row count below which the per-term Python paths win (fixed numpy call
+#: overhead dominates); measured on the quick-width sweep.  Tunable via
 #: ``REPRO_KERNEL_MIN_ROWS`` (0 forces the vector kernels everywhere — the
 #: parity suite's forced-numpy mode).
 KERNEL_MIN_ROWS = _env_int("REPRO_KERNEL_MIN_ROWS", 1024)
@@ -105,13 +111,11 @@ KERNEL_MIN_ROWS = _env_int("REPRO_KERNEL_MIN_ROWS", 1024)
 #: clipping never changes a result).
 ROW_MASK = (1 << 64) - 1
 
-WORD_CODE = "Q"
-
 #: Group masks with at most this many set bits take the counting/radix
 #: bucketing path of :func:`split_runs_by_group` (≤ 64 buckets).  Wider
 #: masks — only the full-group stall fallback produces them — keep the
-#: stable composite-key argsort.  Tunable via ``REPRO_RADIX_MAX_GROUP_BITS``.
-RADIX_MAX_GROUP_BITS = _env_int("REPRO_RADIX_MAX_GROUP_BITS", 6, minimum=1)
+#: stable composite-key argsort.
+RADIX_MAX_GROUP_BITS = 6
 
 #: With at least this many occupied buckets (including the remainder) the
 #: radix split switches from one masked selection per bucket to a single
@@ -134,34 +138,27 @@ def set_core(module) -> None:
     _core = module
 
 
-def _as_u64(words: array):
-    """Zero-copy numpy view of an ``array('Q')`` slab."""
-    return _np.frombuffer(words, dtype=_np.uint64)
+def _frozen(rows: _np.ndarray) -> _np.ndarray:
+    """Seal a freshly built contiguous ``uint64`` row vector read-only."""
+    rows.setflags(write=False)
+    return rows
 
 
-def _to_words(rows) -> array:
-    """Materialise a numpy uint64 vector back into an ``array('Q')``.
+def _rows_of(values: Sequence[int]) -> _np.ndarray:
+    """A read-only row vector from a list of Python ints (small-input paths)."""
+    return _frozen(_np.array(values, dtype=_np.uint64))
 
-    A contiguous vector is copied once, straight from its buffer — the
-    ``tobytes()`` round-trip would copy twice, which is measurable on the
-    multi-million-row slabs the comparator produces.
-    """
-    out = array(WORD_CODE)
-    if not (isinstance(rows, _np.ndarray) and rows.dtype == _np.uint64):
-        rows = _np.ascontiguousarray(rows, dtype=_np.uint64)
-    if rows.flags.c_contiguous:
-        out.frombytes(rows.data.cast("B"))
-    else:
-        out.frombytes(rows.tobytes())
-    return out
+
+#: The shared empty slab (read-only, so sharing it is safe).
+EMPTY = _rows_of([])
 
 
 # ----------------------------------------------------------------------
 # Sort-and-slice kernels
 # ----------------------------------------------------------------------
 def split_runs_by_group(
-    words: array, group_mask: int
-) -> Tuple[List[Tuple[int, array]], array]:
+    words: _np.ndarray, group_mask: int
+) -> Tuple[List[Tuple[int, _np.ndarray]], _np.ndarray]:
     """Bucket a sorted row slab by the group part of every row.
 
     Returns ``(buckets, remainder)`` where ``buckets`` is a list of
@@ -183,8 +180,8 @@ def split_runs_by_group(
 
 
 def split_build_by_group(
-    tagged_slabs: Sequence[Tuple[int, array]], group_mask: int
-) -> Tuple[List[Tuple[int, array]], array]:
+    tagged_slabs: Sequence[Tuple[int, _np.ndarray]], group_mask: int
+) -> Tuple[List[Tuple[int, _np.ndarray]], _np.ndarray]:
     """Fused tag-multiply + combine + split: the engine's ``findBasis`` feed.
 
     ``tagged_slabs`` is a sequence of ``(tag_mask, rows)`` — one sorted slab
@@ -208,13 +205,13 @@ def split_build_by_group(
 
 
 def _split_build(
-    tagged_slabs: Sequence[Tuple[int, array]], group_mask: int, split=None
-) -> Tuple[List[Tuple[int, array]], array]:
+    tagged_slabs: Sequence[Tuple[int, _np.ndarray]], group_mask: int, split=None
+) -> Tuple[List[Tuple[int, _np.ndarray]], _np.ndarray]:
     """One tagged split per slab (``split`` defaults to :func:`_split_runs`),
     then per-bucket disjoint merges."""
     split = split or _split_runs
-    per_bucket: Dict[int, List[array]] = {}
-    rest_parts: List[array] = []
+    per_bucket: Dict[int, List[_np.ndarray]] = {}
+    rest_parts: List[_np.ndarray] = []
     for tag, words in tagged_slabs:
         if not len(words):
             continue
@@ -229,12 +226,12 @@ def _split_build(
     merged = [
         (part, merge_disjoint(per_bucket[part])) for part in sorted(per_bucket)
     ]
-    return merged, merge_disjoint(rest_parts) if rest_parts else array(WORD_CODE)
+    return merged, merge_disjoint(rest_parts)
 
 
 def _split_runs(
-    words: array, group_mask: int, or_mask: int = 0
-) -> Tuple[List[Tuple[int, array]], array]:
+    words: _np.ndarray, group_mask: int, or_mask: int = 0
+) -> Tuple[List[Tuple[int, _np.ndarray]], _np.ndarray]:
     """The numpy split kernel; ``or_mask`` is ORed into every emitted row.
 
     ``or_mask`` (the fused path's tag bit) must be disjoint from the slab's
@@ -242,31 +239,31 @@ def _split_runs(
     order of every bucket and of the remainder.
     """
     if len(words) < KERNEL_MIN_ROWS:
-        return _split_runs_python(words, group_mask, or_mask)
+        return _split_runs_python(words.tolist(), group_mask, or_mask)
     mask = group_mask & ROW_MASK
     bit_positions = _mask_bit_positions(mask)
     if 0 < len(bit_positions) <= RADIX_MAX_GROUP_BITS:
         return _split_runs_radix(words, bit_positions, or_mask)
-    rows = _as_u64(words)
-    gpart = rows & _np.uint64(mask)
+    gpart = words & _np.uint64(mask)
     if not gpart.any():
         return [], or_into_all(words, or_mask) if or_mask else words
     order = _np.argsort(gpart, kind="stable")
     sorted_g = gpart[order]
-    sorted_rest = (rows ^ gpart)[order]
+    sorted_rest = (words ^ gpart)[order]
     if or_mask:
         sorted_rest |= _np.uint64(or_mask & ROW_MASK)
+    _frozen(sorted_rest)
     edges = _np.flatnonzero(sorted_g[1:] != sorted_g[:-1]) + 1
     starts = [0, *edges.tolist()]
-    ends = [*edges.tolist(), len(rows)]
-    buckets: List[Tuple[int, array]] = []
-    remainder = array(WORD_CODE)
+    ends = [*edges.tolist(), len(words)]
+    buckets: List[Tuple[int, _np.ndarray]] = []
+    remainder = EMPTY
     for lo, hi in zip(starts, ends):
         part = int(sorted_g[lo])
         if part == 0:
-            remainder = _to_words(sorted_rest[lo:hi])
+            remainder = sorted_rest[lo:hi]
         else:
-            buckets.append((part, _to_words(sorted_rest[lo:hi])))
+            buckets.append((part, sorted_rest[lo:hi]))
     return buckets, remainder
 
 
@@ -296,8 +293,8 @@ def _bit_runs(bit_positions: List[int]) -> List[Tuple[int, int]]:
 
 
 def _split_runs_radix(
-    words: array, bit_positions: List[int], or_mask: int = 0
-) -> Tuple[List[Tuple[int, array]], array]:
+    rows: _np.ndarray, bit_positions: List[int], or_mask: int = 0
+) -> Tuple[List[Tuple[int, _np.ndarray]], _np.ndarray]:
     """Counting split on a ≤``RADIX_MAX_GROUP_BITS``-bit key space.
 
     The group bits of every row compress into a dense ``uint8`` key — one
@@ -317,7 +314,6 @@ def _split_runs_radix(
     stability of the masked selection and of the argsort respectively — so
     every bucket is born canonical and the results are bit-identical.
     """
-    rows = _as_u64(words)
     runs = _bit_runs(bit_positions)
     key = _np.empty(len(rows), dtype=_np.uint8)
     scratch = _np.empty(len(rows), dtype=_np.uint8)
@@ -332,7 +328,7 @@ def _split_runs_radix(
         out += length
     counts = _np.bincount(key, minlength=1 << len(bit_positions))
     if len(counts) == 1 or not counts[1:].any():
-        return [], or_into_all(words, or_mask) if or_mask else words
+        return [], or_into_all(rows, or_mask) if or_mask else rows
 
     def expand(compressed: int) -> int:
         part = 0
@@ -347,44 +343,34 @@ def _split_runs_radix(
     # the (fresh) tag bit, and the two masks are disjoint — so the XOR equals
     # clear-then-OR without the second whole-slab sweep of the fused path.
     present = _np.flatnonzero(counts).tolist()
-    buckets: List[Tuple[int, array]] = []
-    remainder = array(WORD_CODE)
+    buckets: List[Tuple[int, _np.ndarray]] = []
+    remainder = EMPTY
     if len(present) >= RADIX_ARGSORT_MIN_BUCKETS:
-        order = _np.argsort(key, kind="stable")
-        gathered = rows[order]
-        bounds = _np.cumsum(counts).tolist()
-        for compressed in present:
-            hi = bounds[compressed]
-            lo = hi - int(counts[compressed])
-            selected = gathered[lo:hi]
-            part = expand(compressed) if compressed else 0
-            strip = part | or_mask
-            if strip:
-                selected ^= _np.uint64(strip)
-            if compressed == 0:
-                remainder = _to_words(selected)
-            else:
-                buckets.append((part, _to_words(selected)))
-        return buckets, remainder
-    mask_buffer = _np.empty(len(rows), dtype=bool)
-    for compressed in present:
-        _np.equal(key, compressed, out=mask_buffer)
-        selected = rows[mask_buffer]
+        gathered = rows[_np.argsort(key, kind="stable")]
+        bounds = [0, *_np.cumsum(counts).tolist()]
+        pieces = [(c, gathered[bounds[c] : bounds[c + 1]]) for c in present]
+    else:
+        mask_buffer = _np.empty(len(rows), dtype=bool)
+        pieces = [
+            (compressed, rows[_np.equal(key, compressed, out=mask_buffer)])
+            for compressed in present
+        ]
+    for compressed, selected in pieces:
         part = expand(compressed) if compressed else 0
         strip = part | or_mask
         if strip:
             selected ^= _np.uint64(strip)
         if compressed == 0:
-            remainder = _to_words(selected)
+            remainder = _frozen(selected)
         else:
-            buckets.append((part, _to_words(selected)))
+            buckets.append((part, _frozen(selected)))
     return buckets, remainder
 
 
 def _split_runs_python(
     words: Sequence[int], group_mask: int, or_mask: int = 0
-) -> Tuple[List[Tuple[int, array]], array]:
-    """Per-term reference split (also the small-input path)."""
+) -> Tuple[List[Tuple[int, _np.ndarray]], _np.ndarray]:
+    """Per-term reference split over Python ints (also the small-input path)."""
     buckets: Dict[int, List[int]] = {}
     remainder: List[int] = []
     remainder_append = remainder.append
@@ -399,14 +385,14 @@ def _split_runs_python(
                 buckets[group_part] = rows = []
             rows.append((term ^ group_part) | or_mask)
     return (
-        [(part, array(WORD_CODE, rest)) for part, rest in buckets.items()],
-        array(WORD_CODE, remainder),
+        [(part, _rows_of(rest)) for part, rest in buckets.items()],
+        _rows_of(remainder),
     )
 
 
 def _split_build_python(
     tagged_slabs: Sequence[Tuple[int, Sequence[int]]], group_mask: int
-) -> Tuple[List[Tuple[int, array]], array]:
+) -> Tuple[List[Tuple[int, _np.ndarray]], _np.ndarray]:
     """Per-term reference of the fused split (parity oracle for the tests)."""
     per_bucket: Dict[int, List[int]] = {}
     rest: List[int] = []
@@ -422,12 +408,12 @@ def _split_build_python(
                     per_bucket[group_part] = rows = []
                 rows.append(row)
     return (
-        [(part, array(WORD_CODE, sorted(per_bucket[part]))) for part in sorted(per_bucket)],
-        array(WORD_CODE, sorted(rest)),
+        [(part, _rows_of(sorted(per_bucket[part]))) for part in sorted(per_bucket)],
+        _rows_of(sorted(rest)),
     )
 
 
-def scatter_tag(words: array, bit: int) -> array:
+def scatter_tag(words: _np.ndarray, bit: int) -> _np.ndarray:
     """Rows containing ``bit``, with the bit stripped, in ascending order.
 
     Rows that all contain a common bit keep their relative order when it is
@@ -439,20 +425,19 @@ def scatter_tag(words: array, bit: int) -> array:
     return _scatter_tag(words, bit)
 
 
-def _scatter_tag(words: array, bit: int) -> array:
+def _scatter_tag(words: _np.ndarray, bit: int) -> _np.ndarray:
     if bit > ROW_MASK:
-        return array(WORD_CODE)
+        return EMPTY
     if len(words) < KERNEL_MIN_ROWS:
-        return array(WORD_CODE, [t & ~bit for t in words if t & bit])
-    rows = _as_u64(words)
+        return _rows_of([t & ~bit for t in words.tolist() if t & bit])
     b = _np.uint64(bit)
-    return _to_words(rows[(rows & b) != 0] & ~b)
+    return _frozen(words[(words & b) != 0] & ~b)
 
 
 # ----------------------------------------------------------------------
 # Construction kernels
 # ----------------------------------------------------------------------
-def sort_terms(terms: Iterable[int], count: Optional[int] = None) -> Optional[array]:
+def sort_terms(terms: Iterable[int], count: Optional[int] = None) -> Optional[_np.ndarray]:
     """Pack an unordered stream of distinct terms into a sorted slab.
 
     Returns ``None`` when some term does not fit a 64-bit row (the caller
@@ -466,16 +451,16 @@ def sort_terms(terms: Iterable[int], count: Optional[int] = None) -> Optional[ar
         rows = sorted(terms)
         if rows and rows[-1] > ROW_MASK:
             return None
-        return array(WORD_CODE, rows)
+        return _rows_of(rows)
     try:
         rows = _np.fromiter(terms, dtype=_np.uint64, count=count)
     except OverflowError:
         return None
     rows.sort(kind="stable")
-    return _to_words(rows)
+    return _frozen(rows)
 
 
-def merge_disjoint(slabs: Sequence[array]) -> array:
+def merge_disjoint(slabs: Sequence[_np.ndarray]) -> _np.ndarray:
     """Union of pairwise-disjoint sorted slabs, re-sorted into one slab.
 
     The slabs are first ordered by their smallest row (a permutation cannot
@@ -488,29 +473,22 @@ def merge_disjoint(slabs: Sequence[array]) -> array:
     """
     alive = [s for s in slabs if len(s)]
     if not alive:
-        return array(WORD_CODE)
+        return EMPTY
     if len(alive) == 1:
         return alive[0]
-    alive.sort(key=lambda s: s[0])
+    alive.sort(key=lambda s: int(s[0]))
     ordered = all(
         alive[i][-1] < alive[i + 1][0] for i in range(len(alive) - 1)
     )
-    total = sum(len(s) for s in alive)
-    if ordered or total < KERNEL_MIN_ROWS:
-        merged = array(WORD_CODE)
-        for s in alive:
-            merged.extend(s)
-        if not ordered:
-            rows = merged.tolist()
-            rows.sort()
-            merged = array(WORD_CODE, rows)
-        return merged
-    merged = _np.concatenate([_as_u64(s) for s in alive])
-    merged.sort(kind="stable")
-    return _to_words(merged)
+    merged = _np.concatenate(alive)
+    if not ordered:
+        if len(merged) < KERNEL_MIN_ROWS:
+            return _rows_of(sorted(merged.tolist()))
+        merged.sort(kind="stable")
+    return _frozen(merged)
 
 
-def xor_merge(left: array, right: array) -> array:
+def xor_merge(left: _np.ndarray, right: _np.ndarray) -> _np.ndarray:
     """Symmetric difference of two sorted slabs of distinct rows.
 
     Each operand holds distinct rows, so a shared row occurs exactly twice in
@@ -522,23 +500,23 @@ def xor_merge(left: array, right: array) -> array:
     return _xor_merge(left, right)
 
 
-def _xor_merge(left: array, right: array) -> array:
+def _xor_merge(left: _np.ndarray, right: _np.ndarray) -> _np.ndarray:
     if not len(left):
         return right
     if not len(right):
         return left
     if len(left) + len(right) < KERNEL_MIN_ROWS:
-        return _xor_merge_python(left, right)
-    merged = _np.concatenate([_as_u64(left), _as_u64(right)])
+        return _xor_merge_python(left.tolist(), right.tolist())
+    merged = _np.concatenate((left, right))
     merged.sort(kind="stable")
     dup = merged[1:] == merged[:-1]
     keep = _np.ones(len(merged), dtype=bool)
     keep[1:] &= ~dup
     keep[:-1] &= ~dup
-    return _to_words(merged[keep])
+    return _frozen(merged[keep])
 
 
-def _xor_merge_python(left: Sequence[int], right: Sequence[int]) -> array:
+def _xor_merge_python(left: Sequence[int], right: Sequence[int]) -> _np.ndarray:
     merged = list(left)
     merged.extend(right)
     merged.sort()
@@ -552,10 +530,10 @@ def _xor_merge_python(left: Sequence[int], right: Sequence[int]) -> array:
         else:
             append(row)
             previous = row
-    return array(WORD_CODE, out)
+    return _rows_of(out)
 
 
-def parity_merge(slabs: Sequence[array]) -> array:
+def parity_merge(slabs: Sequence[_np.ndarray]) -> _np.ndarray:
     """Mod-2 reduction of a multiset of row slabs.
 
     The result holds the rows occurring an odd number of times across all
@@ -571,25 +549,23 @@ def parity_merge(slabs: Sequence[array]) -> array:
     return _parity_merge(slabs)
 
 
-def _parity_merge(slabs: Sequence[array]) -> array:
+def _parity_merge(slabs: Sequence[_np.ndarray]) -> _np.ndarray:
     alive = [s for s in slabs if len(s)]
     if not alive:
-        return array(WORD_CODE)
+        return EMPTY
     total = sum(len(s) for s in alive)
     if total < KERNEL_MIN_ROWS:
         counts: Dict[int, int] = {}
         for s in alive:
-            for row in s:
+            for row in s.tolist():
                 counts[row] = counts.get(row, 0) + 1
-        return array(WORD_CODE, sorted(r for r, c in counts.items() if c & 1))
-    if len(alive) == 1:
-        merged = _as_u64(alive[0]).copy()
-    else:
-        merged = _np.concatenate([_as_u64(s) for s in alive])
+        return _rows_of(sorted(r for r, c in counts.items() if c & 1))
+    # A fresh (writable) copy even for one slab: the sweep sorts in place.
+    merged = _np.concatenate(alive)
     # Slabs from expressions are sorted runs — timsort ("stable") gallops
     # through them instead of re-partitioning from scratch.
     merged.sort(kind="stable")
-    return _to_words(_odd_runs(merged))
+    return _frozen(_odd_runs(merged))
 
 
 def _odd_runs(merged):
@@ -601,7 +577,7 @@ def _odd_runs(merged):
     return merged[starts[odd]]
 
 
-def product_rows(large: array, small_terms: Sequence[int]) -> array:
+def product_rows(large: _np.ndarray, small_terms: Sequence[int]) -> _np.ndarray:
     """Sorted canonical rows of ``XOR(small_terms) * large``.
 
     Each small term contributes one vectorised ``row | term`` slab; the
@@ -617,16 +593,16 @@ def product_rows(large: array, small_terms: Sequence[int]) -> array:
     return _product_rows(large, small_terms)
 
 
-def _product_rows(large: array, small_terms: Sequence[int]) -> array:
+def _product_rows(large: _np.ndarray, small_terms: Sequence[int]) -> _np.ndarray:
     if len(large) * len(small_terms) < KERNEL_MIN_ROWS:
         counts: Dict[int, int] = {}
+        rows = large.tolist()
         for term in small_terms:
-            for row in large:
+            for row in rows:
                 key = row | term
                 counts[key] = counts.get(key, 0) + 1
-        return array(WORD_CODE, sorted(r for r, c in counts.items() if c & 1))
-    rows = _as_u64(large)
-    return _to_words(_product_rows_rec(rows, list(small_terms)))
+        return _rows_of(sorted(r for r, c in counts.items() if c & 1))
+    return _frozen(_product_rows_rec(large, list(small_terms)))
 
 
 #: Transient row budget of one product parity sweep (~128 MB of u64 rows).
@@ -652,33 +628,26 @@ def _product_rows_rec(rows, small_terms: List[int]):
 # ----------------------------------------------------------------------
 # Scan helpers
 # ----------------------------------------------------------------------
-def or_into_all(words: array, mask: int) -> array:
+def or_into_all(words: _np.ndarray, mask: int) -> _np.ndarray:
     """``row | mask`` for every row; ascending whenever the mask is disjoint
-    from the slab's support (the caller's precondition).
-
-    One C-level slab copy plus one in-place OR over a writable view — no
-    transient numpy allocation, which is what the giant tag multiplies of
-    ``combine_with_tags`` pay for first-touch page faults otherwise.
-    """
+    from the slab's support (the caller's precondition).  ``mask`` must fit
+    a row."""
     if len(words) < KERNEL_MIN_ROWS:
-        return array(WORD_CODE, [t | mask for t in words])
-    out = array(WORD_CODE, words)
-    view = _np.frombuffer(out, dtype=_np.uint64)
-    view |= _np.uint64(mask & ROW_MASK)
-    return out
+        return _rows_of([t | mask for t in words.tolist()])
+    return _frozen(words | _np.uint64(mask))
 
 
-def support_fold(words: array) -> int:
+def support_fold(words: _np.ndarray) -> int:
     """OR of every row in one vector pass."""
     if len(words) < KERNEL_MIN_ROWS:
         mask = 0
-        for term in words:
+        for term in words.tolist():
             mask |= term
         return mask
-    return int(_np.bitwise_or.reduce(_as_u64(words)))
+    return int(_np.bitwise_or.reduce(words))
 
 
-def shared_literal_count(left: array, right: array) -> int:
+def shared_literal_count(left: _np.ndarray, right: _np.ndarray) -> int:
     """Total set bits over the rows present in both sorted slabs."""
     core = _core
     if core is not None:
@@ -686,28 +655,23 @@ def shared_literal_count(left: array, right: array) -> int:
     return _shared_literal_count(left, right)
 
 
-def _shared_literal_count(left: array, right: array) -> int:
+def _shared_literal_count(left: _np.ndarray, right: _np.ndarray) -> int:
     if min(len(left), len(right)) == 0 or len(left) + len(right) < KERNEL_MIN_ROWS:
-        shared = frozenset(left) & frozenset(right)
-        return sum(int(row).bit_count() for row in shared)
+        shared = frozenset(left.tolist()) & frozenset(right.tolist())
+        return sum(row.bit_count() for row in shared)
     small, large = (left, right) if len(left) <= len(right) else (right, left)
-    small_rows = _as_u64(small)
-    large_rows = _as_u64(large)
-    positions = _np.searchsorted(large_rows, small_rows)
-    positions[positions == len(large_rows)] = 0
-    hits = large_rows[positions] == small_rows
-    # Popcount of the concatenated row bytes == sum of per-row popcounts
-    # (works on every numpy, unlike np.bitwise_count which needs >= 2.0).
-    return int.from_bytes(small_rows[hits].tobytes(), "little").bit_count()
+    positions = _np.searchsorted(large, small)
+    positions[positions == len(large)] = 0
+    hits = large[positions] == small
+    return _popcount_rows(small[hits])
 
 
-def popcount_rows(words: array) -> int:
+def popcount_rows(words: _np.ndarray) -> int:
     """Total set bits over a row slab (the literal count of a matrix).
 
     One vectorised ``bitwise_count`` + sum on numpy >= 2.0; a single
-    big-integer popcount of the raw bytes otherwise.  Replaces the packed
-    big-integer construction that used to dominate the engine's
-    ``literal_count`` queries on multi-million-row slabs.
+    big-integer popcount of the raw bytes otherwise (and below the kernel
+    floor, where it is the cheaper of the two).
     """
     core = _core
     if core is not None:
@@ -715,29 +679,24 @@ def popcount_rows(words: array) -> int:
     return _popcount_rows(words)
 
 
-def _popcount_rows(words) -> int:
-    if len(words) < KERNEL_MIN_ROWS:
-        if isinstance(words, array):
-            return int.from_bytes(words.tobytes(), "little").bit_count()
-        return sum(int(row).bit_count() for row in words)
-    rows = _as_u64(words)
-    if hasattr(_np, "bitwise_count"):
-        return int(_np.bitwise_count(rows).sum(dtype=_np.int64))
-    return int.from_bytes(rows.tobytes(), "little").bit_count()
+def _popcount_rows(words: _np.ndarray) -> int:
+    if len(words) < KERNEL_MIN_ROWS or not hasattr(_np, "bitwise_count"):
+        return int.from_bytes(words.tobytes(), "little").bit_count()
+    return int(_np.bitwise_count(words).sum(dtype=_np.int64))
 
 
-def clear_bits_all(words: array, mask: int) -> array:
+def clear_bits_all(words: _np.ndarray, mask: int) -> _np.ndarray:
     """``row & ~mask`` for every row; ascending whenever every row contains
     all of ``mask`` (the caller's precondition — tag stripping)."""
     if len(words) < KERNEL_MIN_ROWS:
-        return array(WORD_CODE, [t & ~mask for t in words])
-    return _to_words(_as_u64(words) & _np.uint64(~mask & ROW_MASK))
+        return _rows_of([t & ~mask for t in words.tolist()])
+    return _frozen(words & _np.uint64(~mask & ROW_MASK))
 
 
-def rows_contain_all(words: array, mask: int) -> bool:
-    """True when every row contains every bit of ``mask`` (one vector pass)."""
+def rows_contain_all(words: _np.ndarray, mask: int) -> bool:
+    """True when every row contains every bit of ``mask`` (one vector pass).
+    ``mask`` must fit a row."""
     if len(words) < KERNEL_MIN_ROWS:
-        return all(t & mask == mask for t in words)
-    m = _np.uint64(mask & ROW_MASK)
-    rows = _as_u64(words)
-    return bool(((rows & m) == m).all())
+        return all(t & mask == mask for t in words.tolist())
+    m = _np.uint64(mask)
+    return bool(((words & m) == m).all())

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List
 
-from ..anf.backend import get_backend
+from ..anf.backend import PackedBackend, get_backend
 from ..anf.expression import Anf
 from .nullspace import NullSpaceTable, ideal_product_generator, split_over_ideals
 
@@ -124,9 +124,9 @@ def _second_fingerprint(expr: Anf) -> tuple:
     matrix = expr.term_matrix(build=True)
     if matrix is not None:
         words = matrix.words
-        if not words:
+        if not len(words):
             return (0,)
-        return (len(words), words[0], words[len(words) // 2], words[-1])
+        return (len(words), int(words[0]), int(words[len(words) // 2]), int(words[-1]))
     return (expr.num_terms,)
 
 
@@ -151,7 +151,7 @@ def merge_equal_parts(pair_list: PairList) -> PairList:
     # Probing only pays when the seconds are big enough that building and
     # hashing their canonical bytes dominates; tiny pair lists keep the
     # direct-key path (same decisions either way).
-    probe = backend.name == "packed" and any(
+    probe = isinstance(backend, PackedBackend) and any(
         pair.second.num_terms >= PROBE_MIN_TERMS for pair in pairs
     )
     changed = True

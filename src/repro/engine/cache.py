@@ -45,7 +45,6 @@ import hashlib
 import json
 import os
 import tempfile
-from array import array
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
@@ -58,7 +57,7 @@ from .. import faults
 from ..anf import sortkernel
 from ..anf.context import Context
 from ..anf.expression import Anf
-from ..anf.termmatrix import WORD_CODE, TermMatrix
+from ..anf.termmatrix import TermMatrix
 from ..core.decompose import Block, Decomposition, DecompositionOptions, IterationRecord
 from ..core.identities import Identity
 
@@ -83,6 +82,16 @@ def _anf_to_list(expr: Anf) -> List[int]:
     return sorted(expr.terms)
 
 
+def _all_ints(values: List[int]) -> bool:
+    """True when every entry is an ``int``, in one C-level pass: ``sum``
+    stays an ``int`` exactly then (a float entry turns it into a float, any
+    other type raises)."""
+    try:
+        return type(sum(values)) is int
+    except TypeError:
+        return False
+
+
 def _anf_from_list(ctx: Context, terms: List[int]) -> Anf:
     """Rebuild a record's monomial list as an :class:`Anf`.
 
@@ -90,18 +99,18 @@ def _anf_from_list(ctx: Context, terms: List[int]) -> Anf:
     strictly ascending 64-bit masks — what :func:`_anf_to_list` writes for
     every packable expression — decodes straight to a packed matrix, so a
     warm hit on a wide spec never builds its frozenset.  Anything else
-    (short, hand-edited out of order, duplicated, wider than a row) keeps
-    the frozenset decode.
+    (short, hand-edited out of order, duplicated, wider than a row, or
+    holding a non-``int`` entry, which numpy's ``uint64`` conversion would
+    silently truncate or parse) keeps the frozenset decode.
     """
-    if len(terms) >= sortkernel.KERNEL_MIN_ROWS:
+    if len(terms) >= sortkernel.KERNEL_MIN_ROWS and _all_ints(terms):
         try:
-            words = array(WORD_CODE, terms)
-        except (OverflowError, TypeError):
+            rows = np.fromiter(terms, dtype=np.uint64, count=len(terms))
+        except OverflowError:  # negative, or wider than a row
             pass
         else:
-            rows = np.frombuffer(words, dtype=np.uint64)
             if (rows[1:] > rows[:-1]).all():
-                return Anf._from_matrix(ctx, TermMatrix(words))
+                return Anf._from_matrix(ctx, TermMatrix(sortkernel._frozen(rows)))
     return Anf._raw(ctx, frozenset(terms))
 
 

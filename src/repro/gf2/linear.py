@@ -147,7 +147,7 @@ class MonomialVocabulary:
                 packed[index >> 3] |= 1 << (index & 7)
             return int.from_bytes(packed, "little")
         self._flush_pending()
-        rows = np.frombuffer(matrix.words, dtype=np.uint64)
+        rows = matrix.words
         ids = np.empty(len(rows), dtype=np.int64)
         if self._base is None or not len(self._base):
             found = np.zeros(len(rows), dtype=bool)

@@ -15,11 +15,12 @@ The whole module skips when the extension is not built — except the
 fallback tests, which force the import guard off and must pass anywhere.
 """
 
-from array import array
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from test_sortkernel import _assert_rows, _plain, _slab, row_kernel_results
 
 from repro.anf import Anf, Context, cnative, sortkernel
 from repro.anf.backend import get_backend, using_backend
@@ -33,14 +34,9 @@ narrow_mask = st.integers(min_value=1, max_value=(1 << 40) - 1).filter(
 )
 
 
-def _slab(terms):
-    return array(sortkernel.WORD_CODE, sorted(terms))
-
-
 def _rows(raw):
-    out = array(sortkernel.WORD_CODE)
-    out.frombytes(raw)
-    return list(out)
+    """A raw C result buffer's rows as a list of ints."""
+    return np.frombuffer(raw, dtype=np.uint64).tolist()
 
 
 needs_ext = pytest.mark.skipif(
@@ -59,9 +55,9 @@ class TestRawPrimitives:
         result = cnative._C.split_radix(_slab(terms), group_mask, tag, 6)
         assert result is not None
         parts, buckets, remainder = result
-        ref_runs, ref_rest = sortkernel._split_runs_python(
-            _slab(terms), group_mask, or_mask=tag
-        )
+        ref_runs, ref_rest = _plain(sortkernel._split_runs_python(
+            sorted(terms), group_mask, or_mask=tag
+        ))
         assert _rows(remainder) == sorted(ref_rest)
         assert {p: _rows(b) for p, b in zip(parts, buckets)} == {
             p: sorted(r) for p, r in ref_runs
@@ -83,7 +79,7 @@ class TestRawPrimitives:
         assert cnative._C.split_radix(slab, (1 << 17) - 1, 0, 64) is None
 
     def test_split_radix_empty_slab(self):
-        parts, buckets, remainder = cnative._C.split_radix(array("Q"), 0b11, 0, 6)
+        parts, buckets, remainder = cnative._C.split_radix(_slab([]), 0b11, 0, 6)
         assert parts == [] and buckets == [] and _rows(remainder) == []
 
     @given(left=terms_strategy, right=terms_strategy)
@@ -99,7 +95,7 @@ class TestRawPrimitives:
     @settings(max_examples=50)
     def test_sort_parity_keeps_odd_count_rows(self, slabs):
         rows = [r for s in slabs for r in s]
-        buf = bytearray(array(sortkernel.WORD_CODE, rows).tobytes())
+        buf = bytearray(np.array(rows, dtype=np.uint64).tobytes())
         survivors = cnative._C.sort_parity(buf)
         counts = Counter(rows)
         assert _rows(memoryview(buf)[: survivors * 8]) == sorted(
@@ -141,12 +137,10 @@ class TestSerialWrapperParity:
     @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_split_runs(self, terms, group_mask, tag):
         slab = _slab(terms)
-        ours = cnative.split_runs_by_group(slab, group_mask, or_mask=tag)
-        ref = sortkernel._split_runs(slab, group_mask, or_mask=tag)
-        assert list(ours[1]) == list(ref[1])
-        assert [(p, list(r)) for p, r in ours[0]] == [
-            (p, list(r)) for p, r in sorted(ref[0])
-        ]
+        ours = _plain(cnative.split_runs_by_group(slab, group_mask, or_mask=tag))
+        ref = _plain(sortkernel._split_runs(slab, group_mask, or_mask=tag))
+        assert ours[1] == ref[1]
+        assert ours[0] == sorted(ref[0])
 
     @given(groups=st.lists(terms_strategy, min_size=1, max_size=3),
            group_mask=mask_strategy)
@@ -155,10 +149,7 @@ class TestSerialWrapperParity:
         slabs = [(1 << (50 + i), _slab(g)) for i, g in enumerate(groups)]
         ours = cnative.split_build_by_group(slabs, group_mask)
         ref = sortkernel._split_build(slabs, group_mask)
-        assert list(ours[1]) == list(ref[1])
-        assert [(p, list(r)) for p, r in ours[0]] == [
-            (p, list(r)) for p, r in ref[0]
-        ]
+        assert _plain(ours) == _plain(ref)
 
     @given(slabs=st.lists(
         st.lists(st.integers(min_value=0, max_value=255), max_size=20),
@@ -166,9 +157,9 @@ class TestSerialWrapperParity:
     ))
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_parity_merge(self, slabs):
-        arrays = [array(sortkernel.WORD_CODE, s) for s in slabs]
-        assert list(cnative.parity_merge(arrays)) == list(
-            sortkernel._parity_merge(arrays)
+        arrays = [np.array(s, dtype=np.uint64) for s in slabs]
+        assert cnative.parity_merge(arrays).tolist() == (
+            sortkernel._parity_merge(arrays).tolist()
         )
 
     @given(large=terms_strategy,
@@ -176,8 +167,8 @@ class TestSerialWrapperParity:
                           unique=True, min_size=1, max_size=6))
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_product_rows(self, large, small):
-        assert list(cnative.product_rows(_slab(large), small)) == list(
-            sortkernel._product_rows(_slab(large), small)
+        assert cnative.product_rows(_slab(large), small).tolist() == (
+            sortkernel._product_rows(_slab(large), small).tolist()
         )
 
     def test_product_divide_and_conquer_path(self, monkeypatch):
@@ -187,20 +178,29 @@ class TestSerialWrapperParity:
         large = _slab(range(1, 200))
         small = [1 << 45, (1 << 46) | 3, 7, (1 << 47) | 1, 11, 1 << 48]
         expected = sortkernel._product_rows(large, small)
-        assert list(cnative.product_rows(large, small)) == list(expected)
+        assert cnative.product_rows(large, small).tolist() == expected.tolist()
 
     def test_groupless_slab_is_returned_uncopied(self):
         slab = _slab([2, 4, 6])
         runs, remainder = cnative.split_runs_by_group(slab, 1)
         assert runs == [] and remainder is slab
 
+    @pytest.mark.parametrize("rows", [31, 32], ids=["below-floor", "at-floor"])
+    def test_kernels_return_read_only_u64_rows(self, monkeypatch, rows):
+        """Below the floor cnative delegates to sortkernel, at it the C
+        primitives run: both return the ``TermMatrix.words`` row type."""
+        monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 32)
+        for result in row_kernel_results(cnative, rows):
+            _assert_rows(result)
+
     def test_empty_slab_and_empty_operands(self):
-        empty = array(sortkernel.WORD_CODE)
-        assert cnative.split_runs_by_group(empty, 0b11) == ([], empty)
+        empty = _slab([])
+        runs, remainder = cnative.split_runs_by_group(empty, 0b11)
+        assert runs == [] and remainder is empty
         some = _slab([1, 2, 3])
         assert cnative.xor_merge(empty, some) is some
         assert cnative.xor_merge(some, empty) is some
-        assert list(cnative.parity_merge([])) == []
+        assert cnative.parity_merge([]).tolist() == []
         assert cnative.shared_literal_count(empty, some) == 0
         assert cnative.popcount_rows(empty) == 0
 
@@ -237,12 +237,10 @@ class TestNativeBackend:
             with pytest.warns(RuntimeWarning, match="not built"):
                 with using_backend("native"):
                     slab = _slab(range(1, 50))
-                    runs, remainder = sortkernel.split_runs_by_group(slab, 0b11)
-        ref_runs, ref_rest = sortkernel._split_runs_python(slab, 0b11)
-        assert {p: list(r) for p, r in runs} == {
-            p: sorted(r) for p, r in ref_runs
-        }
-        assert list(remainder) == sorted(ref_rest)
+                    runs, remainder = _plain(sortkernel.split_runs_by_group(slab, 0b11))
+        ref_runs, ref_rest = _plain(sortkernel._split_runs_python(slab.tolist(), 0b11))
+        assert dict(runs) == {p: sorted(r) for p, r in ref_runs}
+        assert remainder == sorted(ref_rest)
         # Second activation stays silent (one-time warning).
         import warnings as _warnings
 
@@ -255,11 +253,11 @@ class TestNativeBackend:
         monkeypatch.setattr(cnative, "_C", None)
         monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
         slab = _slab([1, 2, 3, 9])
-        assert list(cnative.xor_merge(slab, _slab([2, 4]))) == [1, 3, 4, 9]
+        assert cnative.xor_merge(slab, _slab([2, 4])).tolist() == [1, 3, 4, 9]
         assert cnative.popcount_rows(slab) == 6
         runs, remainder = cnative.split_runs_by_group(slab, 0b1)
         assert [p for p, _ in runs] == [1]
-        assert list(remainder) == [2]
+        assert remainder.tolist() == [2]
 
     @needs_ext
     def test_engine_parity_native_vs_packed(self):

@@ -361,16 +361,23 @@ class TestPackedSerialization:
         assert_bit_identical(decomposition, rebuilt)
         assert rebuilt.verify()
 
-    @pytest.mark.parametrize("edit", ["reversed", "duplicated", "too-wide"])
+    @pytest.mark.parametrize(
+        "edit", ["reversed", "duplicated", "too-wide", "float", "negative", "string"]
+    )
     def test_hand_edited_wide_list_decodes_through_the_set_path(self, edit):
         spec = lzd_spec(12)
         record = serialize_decomposition(_bare_decomposition(spec.outputs))
         terms = record["original"]["v"]
         assert len(terms) >= sortkernel.KERNEL_MIN_ROWS
+        # The float truncates back to the row it replaced and the string
+        # parses as that row: numpy's uint64 conversion would accept both.
         edited = {
             "reversed": terms[::-1],
             "duplicated": terms + terms[:1],
             "too-wide": terms + [1 << 70],
+            "float": [terms[0], terms[1] + 0.5, *terms[2:]],
+            "negative": [-1, *terms[1:]],
+            "string": [terms[0], str(terms[1]), *terms[2:]],
         }[edit]
         record["original"]["v"] = edited
         decoded = deserialize_decomposition(record).original["v"]

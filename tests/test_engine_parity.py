@@ -151,6 +151,60 @@ class TestVectorKernelParity:
         _check_parity(_twin_adder(4), options, backend)
 
 
+class TestPairMergeProbe:
+    """The fingerprint probe of ``merge_equal_parts`` (count plus three
+    sampled rows of each second) only short-cuts key hashing: forced on
+    (``PROBE_MIN_TERMS = 0``) or off, both packed backends merge to the same
+    pairs.  Two of the seconds collide on the fingerprint but differ, so the
+    full-key fallback inside a collision is exercised too."""
+
+    SECOND_A = [1, 2, 4, 8, 16]
+    SECOND_B = [1, 3, 4, 8, 16]  # same count, first, middle and last row as A
+    SECOND_C = [5, 6, 32]
+
+    def _merged(self, backend):
+        from repro.core.nullspace import NullSpaceTable
+        from repro.core.pairs import initial_pairs, merge_equal_parts
+
+        ctx = Context([f"v{i}" for i in range(12)])
+        a, b, c, d = (1 << 8), (1 << 9), (1 << 10), (1 << 11)
+        placed = [
+            (a, self.SECOND_A), (b, self.SECOND_A), (c, self.SECOND_B),
+            (a | b, self.SECOND_B), (d, self.SECOND_C), (a | c, self.SECOND_A),
+        ]
+        terms = [part | row for part, rows in placed for row in rows] + [7, 64]
+        with using_backend(backend):
+            merged = merge_equal_parts(
+                initial_pairs(Anf(ctx, terms), a | b | c | d, NullSpaceTable(ctx))
+            )
+        return (
+            sorted(
+                (sorted(p.first.terms), sorted(p.second.terms), sorted(p.null_generator.terms))
+                for p in merged.pairs
+            ),
+            sorted(merged.remainder.terms),
+        )
+
+    @pytest.mark.parametrize("backend", ("packed", "native"))
+    def test_probe_on_and_off_merge_identically(self, monkeypatch, backend):
+        from repro.core import pairs
+
+        probed = []
+        fingerprint = pairs._second_fingerprint
+        monkeypatch.setattr(
+            pairs, "_second_fingerprint", lambda expr: probed.append(expr) or fingerprint(expr)
+        )
+        results = {}
+        for threshold in (0, 1 << 62):
+            monkeypatch.setattr(pairs, "PROBE_MIN_TERMS", threshold)
+            probed.clear()
+            results[threshold] = self._merged(backend)
+            assert bool(probed) == (threshold == 0)
+        assert results[0] == results[1 << 62]
+        assert results[0] == self._merged("set")
+        assert len(results[0][0]) == 3  # A, B and C each merged to one pair
+
+
 class TestRandomisedParity:
     @given(
         st.lists(

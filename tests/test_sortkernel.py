@@ -14,8 +14,7 @@ semantics, the vectorised monomial vocabulary against the dict indexer, and
 the sharded ``find_group`` paths against their serial twins.
 """
 
-from array import array
-
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -57,7 +56,26 @@ def kernel_mode(request, monkeypatch):
 
 
 def _slab(terms):
-    return array(sortkernel.WORD_CODE, sorted(terms))
+    """A sorted read-only ``uint64`` row vector (the ``TermMatrix.words`` type)."""
+    rows = np.array(sorted(terms), dtype=np.uint64)
+    rows.setflags(write=False)
+    return rows
+
+
+def _plain(value):
+    """Kernel results with every row vector as a list, for ``==``."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return type(value)(_plain(item) for item in value)
+    return value
+
+
+def _assert_rows(rows):
+    """The row invariant: a read-only, C-contiguous, 1-D ``uint64`` vector."""
+    assert isinstance(rows, np.ndarray)
+    assert rows.dtype == np.uint64 and rows.ndim == 1
+    assert rows.flags.c_contiguous and not rows.flags.writeable
 
 
 def test_env_int_warns_on_bad_values(monkeypatch):
@@ -79,32 +97,34 @@ class TestSplitKernel:
     @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_split_runs_match_reference(self, kernel_mode, terms, group_mask):
         slab = _slab(terms)
-        runs, remainder = sortkernel.split_runs_by_group(slab, group_mask)
-        ref_runs, ref_remainder = sortkernel._split_runs_python(slab, group_mask)
+        runs, remainder = _plain(sortkernel.split_runs_by_group(slab, group_mask))
+        ref_runs, ref_remainder = _plain(
+            sortkernel._split_runs_python(slab.tolist(), group_mask)
+        )
         assert sorted(remainder) == sorted(ref_remainder)
         assert {p: sorted(r) for p, r in runs} == {
             p: sorted(r) for p, r in ref_runs
         }
         # Born-sorted: every bucket (and the remainder) must ascend strictly.
         for _, rows in runs:
-            assert list(rows) == sorted(set(rows))
-        assert list(remainder) == sorted(set(remainder))
+            assert rows == sorted(set(rows))
+        assert remainder == sorted(set(remainder))
 
     @given(terms=terms_strategy)
     @settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_group_mask_zero_is_all_remainder(self, kernel_mode, terms):
-        runs, remainder = sortkernel.split_runs_by_group(_slab(terms), 0)
+        runs, remainder = _plain(sortkernel.split_runs_by_group(_slab(terms), 0))
         assert runs == []
-        assert sorted(remainder) == sorted(terms)
+        assert remainder == sorted(terms)
 
     @given(terms=terms_strategy)
     @settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_all_bits_mask_buckets_every_term(self, kernel_mode, terms):
         mask = (1 << 64) - 1
-        runs, remainder = sortkernel.split_runs_by_group(_slab(terms), mask)
-        assert sorted(remainder) == ([0] if 0 in terms else [])
+        runs, remainder = _plain(sortkernel.split_runs_by_group(_slab(terms), mask))
+        assert remainder == ([0] if 0 in terms else [])
         assert sorted(p for p, _ in runs) == sorted(t for t in terms if t)
-        assert all(list(rows) == [0] for _, rows in runs)
+        assert all(rows == [0] for _, rows in runs)
 
 
 class TestRadixSplit:
@@ -120,17 +140,18 @@ class TestRadixSplit:
     @settings(max_examples=60)
     def test_radix_matches_python_reference(self, terms, group_mask):
         slab = _slab(terms)
-        runs, remainder = sortkernel._split_runs_radix(
+        runs, remainder = _plain(sortkernel._split_runs_radix(
             slab, sortkernel._mask_bit_positions(group_mask)
+        ))
+        ref_runs, ref_remainder = _plain(
+            sortkernel._split_runs_python(slab.tolist(), group_mask)
         )
-        ref_runs, ref_remainder = sortkernel._split_runs_python(slab, group_mask)
-        assert list(remainder) == sorted(ref_remainder)
-        assert dict(runs) == {p: array(sortkernel.WORD_CODE, sorted(r))
-                              for p, r in ref_runs}
+        assert remainder == sorted(ref_remainder)
+        assert dict(runs) == {p: sorted(r) for p, r in ref_runs}
         # Buckets come out in ascending group-part order, born-sorted.
         assert [p for p, _ in runs] == sorted(p for p, _ in runs)
         for _, rows in runs:
-            assert list(rows) == sorted(set(rows))
+            assert rows == sorted(set(rows))
 
     @given(terms=terms_strategy, group_mask=narrow_mask)
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -145,20 +166,16 @@ class TestRadixSplit:
         with monkeypatch.context() as scoped:
             scoped.setattr(sortkernel, "RADIX_MAX_GROUP_BITS", 0)
             argsort = sortkernel.split_runs_by_group(slab, group_mask)
-        assert list(radix[1]) == list(argsort[1])
-        assert [(p, list(r)) for p, r in radix[0]] == [
-            (p, list(r)) for p, r in argsort[0]
-        ]
+        assert _plain(radix) == _plain(argsort)
 
     def test_wide_masks_keep_the_argsort_path(self, monkeypatch):
         monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
         wide_mask = sum(1 << i for i in range(sortkernel.RADIX_MAX_GROUP_BITS + 2))
         terms = list(range(1, 600))
-        runs, remainder = sortkernel.split_runs_by_group(_slab(terms), wide_mask)
-        ref_runs, ref_remainder = sortkernel._split_runs_python(_slab(terms), wide_mask)
-        assert list(remainder) == sorted(ref_remainder)
-        assert dict(runs) == {p: array(sortkernel.WORD_CODE, sorted(r))
-                              for p, r in ref_runs}
+        runs, remainder = _plain(sortkernel.split_runs_by_group(_slab(terms), wide_mask))
+        ref_runs, ref_remainder = _plain(sortkernel._split_runs_python(terms, wide_mask))
+        assert remainder == sorted(ref_remainder)
+        assert dict(runs) == {p: sorted(r) for p, r in ref_runs}
 
     def test_all_rows_groupless_returns_input_slab(self, monkeypatch):
         monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
@@ -184,16 +201,16 @@ class TestFusedSplitBuild:
     @given(slabs=tagged_slabs, group_mask=mask_strategy)
     @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_matches_python_oracle(self, kernel_mode, slabs, group_mask):
-        runs, remainder = sortkernel.split_build_by_group(slabs, group_mask)
-        ref_runs, ref_remainder = sortkernel._split_build_python(slabs, group_mask)
-        assert list(remainder) == list(ref_remainder)
-        assert [(p, list(r)) for p, r in runs] == [
-            (p, list(r)) for p, r in ref_runs
-        ]
+        runs, remainder = _plain(sortkernel.split_build_by_group(slabs, group_mask))
+        ref_runs, ref_remainder = _plain(sortkernel._split_build_python(
+            [(tag, rows.tolist()) for tag, rows in slabs], group_mask
+        ))
+        assert remainder == ref_remainder
+        assert runs == ref_runs
         # Born-canonical: ascending parts, strictly ascending rows.
         assert [p for p, _ in runs] == sorted(p for p, _ in runs)
         for _, rows in runs:
-            assert list(rows) == sorted(set(rows))
+            assert rows == sorted(set(rows))
 
     @given(slabs=tagged_slabs, group_mask=mask_strategy)
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -202,28 +219,26 @@ class TestFusedSplitBuild:
         combined = sortkernel.merge_disjoint(
             [sortkernel.or_into_all(rows, tag) for tag, rows in slabs]
         )
-        two_step = sortkernel.split_runs_by_group(combined, group_mask)
-        fused = sortkernel.split_build_by_group(slabs, group_mask)
-        assert list(fused[1]) == sorted(two_step[1])
-        assert {p: list(r) for p, r in fused[0]} == {
-            p: sorted(r) for p, r in two_step[0]
-        }
+        two_step = _plain(sortkernel.split_runs_by_group(combined, group_mask))
+        fused = _plain(sortkernel.split_build_by_group(slabs, group_mask))
+        assert fused[1] == sorted(two_step[1])
+        assert dict(fused[0]) == {p: sorted(r) for p, r in two_step[0]}
 
     @given(slabs=tagged_slabs)
     @settings(max_examples=20, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_zero_mask_tags_everything_into_remainder(self, kernel_mode, slabs):
-        runs, remainder = sortkernel.split_build_by_group(slabs, 0)
+        runs, remainder = _plain(sortkernel.split_build_by_group(slabs, 0))
         assert runs == []
-        expected = sorted(t | tag for tag, rows in slabs for t in rows)
-        assert list(remainder) == expected
+        expected = sorted(t | tag for tag, rows in slabs for t in rows.tolist())
+        assert remainder == expected
 
     def test_empty_slabs_are_skipped(self, kernel_mode):
-        empty = array(sortkernel.WORD_CODE)
-        runs, remainder = sortkernel.split_build_by_group(
+        empty = _slab([])
+        runs, remainder = _plain(sortkernel.split_build_by_group(
             [(1 << 50, empty), (1 << 51, _slab([3, 4]))], 0b1
-        )
-        assert list(remainder) == [(1 << 51) | 4]
-        assert [(p, list(r)) for p, r in runs] == [(1, [2 | (1 << 51)])]
+        ))
+        assert remainder == [(1 << 51) | 4]
+        assert runs == [(1, [2 | (1 << 51)])]
 
 
 class TestFusedBackendSeam:
@@ -324,7 +339,7 @@ class TestConstructionKernels:
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_sort_terms(self, kernel_mode, terms):
         rows = sortkernel.sort_terms(frozenset(terms))
-        assert rows is not None and list(rows) == sorted(terms)
+        assert rows is not None and rows.tolist() == sorted(terms)
 
     def test_sort_terms_declines_wide_rows(self, kernel_mode):
         assert sortkernel.sort_terms([0, 1 << 64]) is None
@@ -335,14 +350,14 @@ class TestConstructionKernels:
         marked = [_slab({(t << 3) | i for t in group}) for i, group in enumerate(groups)]
         union = set()
         for slab in marked:
-            union |= set(slab)
-        assert list(sortkernel.merge_disjoint(marked)) == sorted(union)
+            union |= set(slab.tolist())
+        assert sortkernel.merge_disjoint(marked).tolist() == sorted(union)
 
     @given(left=terms_strategy, right=terms_strategy)
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_xor_merge(self, kernel_mode, left, right):
         merged = sortkernel.xor_merge(_slab(left), _slab(right))
-        assert list(merged) == sorted(set(left) ^ set(right))
+        assert merged.tolist() == sorted(set(left) ^ set(right))
 
     @given(slabs=st.lists(st.lists(st.integers(min_value=0, max_value=255), max_size=12), max_size=6))
     @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -353,9 +368,9 @@ class TestConstructionKernels:
                 counts[row] = counts.get(row, 0) + 1
         expected = sorted(r for r, c in counts.items() if c & 1)
         got = sortkernel.parity_merge(
-            [array(sortkernel.WORD_CODE, slab) for slab in slabs]
+            [np.array(slab, dtype=np.uint64) for slab in slabs]
         )
-        assert sorted(got) == expected
+        assert got.tolist() == expected
 
     @given(large=terms_strategy, small=st.lists(st.integers(min_value=0, max_value=(1 << 20) - 1),
                                                unique=True, min_size=1, max_size=8))
@@ -368,7 +383,7 @@ class TestConstructionKernels:
                 counts[key] = counts.get(key, 0) + 1
         expected = sorted(r for r, c in counts.items() if c & 1)
         got = sortkernel.product_rows(_slab(large), small)
-        assert list(got) == expected
+        assert got.tolist() == expected
 
     @given(left=terms_strategy, right=terms_strategy)
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -386,14 +401,14 @@ class TestConstructionKernels:
             mask |= t
         assert sortkernel.support_fold(slab) == mask
         disjoint = (1 << 41)
-        assert list(sortkernel.or_into_all(slab, disjoint)) == sorted(
+        assert sortkernel.or_into_all(slab, disjoint).tolist() == sorted(
             t | disjoint for t in terms
         )
 
     @given(terms=terms_strategy, bit=st.sampled_from([1, 1 << 7, 1 << 39, 1 << 63]))
     @settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_scatter_tag(self, kernel_mode, terms, bit):
-        assert list(sortkernel.scatter_tag(_slab(terms), bit)) == sorted(
+        assert sortkernel.scatter_tag(_slab(terms), bit).tolist() == sorted(
             t & ~bit for t in terms if t & bit
         )
 
@@ -412,7 +427,7 @@ class TestConstructionKernels:
         tag = (1 << 41) | (1 << 45)
         tagged = sortkernel.or_into_all(slab, tag)
         assert sortkernel.rows_contain_all(tagged, tag)
-        assert list(sortkernel.clear_bits_all(tagged, tag)) == list(slab)
+        assert sortkernel.clear_bits_all(tagged, tag).tolist() == slab.tolist()
 
 
 #: Every public kernel behind the ``set_core`` seam, with small arguments.
@@ -428,9 +443,46 @@ CORE_KERNEL_CALLS = [
 ]
 
 
+def row_kernel_results(kernels, rows):
+    """Every row vector the public row-producing kernels of ``kernels`` (the
+    sortkernel module or a kernel core) return on ``rows``-row inputs."""
+    terms = list(range(1, rows + 1))
+    half = rows // 2
+    tag = 1 << 50
+    results = [
+        kernels.scatter_tag(_slab(terms), 0b1),
+        kernels.xor_merge(_slab(terms[:half]), _slab(terms[half - 1:])),
+        kernels.parity_merge([_slab(terms[:half]), _slab(terms[half:])]),
+        kernels.product_rows(_slab(terms), [tag]),
+    ]
+    for mask in (0b11, (1 << 8) - 1):  # radix and wide-mask argsort routes
+        runs, remainder = kernels.split_runs_by_group(_slab(terms), mask)
+        results += [r for _, r in runs] + [remainder]
+        runs, remainder = kernels.split_build_by_group([(tag, _slab(terms))], mask)
+        results += [r for _, r in runs] + [remainder]
+    if kernels is sortkernel:
+        results += [
+            sortkernel.sort_terms(reversed(terms)),
+            sortkernel.merge_disjoint([_slab(terms[::2]), _slab(terms[1::2])]),
+            sortkernel.merge_disjoint([_slab(terms[:half]), _slab(terms[half:])]),
+            sortkernel.or_into_all(_slab(terms), tag),
+            sortkernel.clear_bits_all(_slab([t | tag for t in terms]), tag),
+        ]
+    return results
+
+
 class TestKernelCore:
     """The one seam: each public kernel runs its numpy body when no core is
     installed, and hands its exact arguments to the installed core otherwise."""
+
+    @pytest.mark.parametrize("rows", [31, 32], ids=["below-floor", "at-floor"])
+    def test_kernels_return_read_only_u64_rows(self, monkeypatch, rows):
+        """Both sides of ``KERNEL_MIN_ROWS`` produce the ``TermMatrix.words``
+        type: a read-only, C-contiguous ``uint64`` vector."""
+        monkeypatch.setattr(sortkernel, "_core", None)
+        monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 32)
+        for result in row_kernel_results(sortkernel, rows):
+            _assert_rows(result)
 
     @pytest.mark.parametrize("name, body, args", CORE_KERNEL_CALLS,
                              ids=[call[0] for call in CORE_KERNEL_CALLS])
@@ -439,7 +491,7 @@ class TestKernelCore:
 
         monkeypatch.setattr(sortkernel, "_core", None)
         kernel = getattr(sortkernel, name)
-        assert kernel(*args) == getattr(sortkernel, body)(*args)
+        assert _plain(kernel(*args)) == _plain(getattr(sortkernel, body)(*args))
         seen = []
         answer = object()
 
@@ -452,29 +504,30 @@ class TestKernelCore:
         assert len(seen) == 1 and all(a is b for a, b in zip(seen[0], args))
         sortkernel.set_core(None)
         assert sortkernel._core is None
-        assert kernel(*args) == getattr(sortkernel, body)(*args)
+        assert _plain(kernel(*args)) == _plain(getattr(sortkernel, body)(*args))
 
     def test_vector_path_starts_at_kernel_min_rows(self, monkeypatch):
         """One row below the threshold stays per-term; at the threshold the
         numpy body runs; both give the same rows."""
         monkeypatch.setattr(sortkernel, "_core", None)
         monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 32)
-        views = []
-        real_view = sortkernel._as_u64
+        per_term = []
+        real_python = sortkernel._split_runs_python
         monkeypatch.setattr(
-            sortkernel, "_as_u64", lambda words: views.append(len(words)) or real_view(words)
+            sortkernel,
+            "_split_runs_python",
+            lambda words, *a: per_term.append(len(words)) or real_python(words, *a),
         )
         for rows in (31, 32):
-            views.clear()
-            slab = _slab(range(1, rows + 1))
-            runs, remainder = sortkernel.split_runs_by_group(slab, 0b11)
-            ref_runs, ref_remainder = sortkernel._split_runs_python(slab, 0b11)
-            assert [(p, list(r)) for p, r in runs] == [
-                (p, list(r)) for p, r in sorted(ref_runs)
-            ]
-            assert list(remainder) == list(ref_remainder)
-            assert sortkernel.popcount_rows(slab) == sum(t.bit_count() for t in slab)
-            assert bool(views) == (rows >= 32)
+            per_term.clear()
+            terms = list(range(1, rows + 1))
+            slab = _slab(terms)
+            runs, remainder = _plain(sortkernel.split_runs_by_group(slab, 0b11))
+            ref_runs, ref_remainder = _plain(real_python(terms, 0b11))
+            assert runs == sorted(ref_runs)
+            assert remainder == ref_remainder
+            assert sortkernel.popcount_rows(slab) == sum(t.bit_count() for t in terms)
+            assert bool(per_term) == (rows < 32)
 
 
 class TestExpressionAccumulation:

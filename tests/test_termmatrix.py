@@ -7,10 +7,11 @@ Two layers are exercised: the :class:`TermMatrix` data structure itself
 must compute identical canonical term sets on arbitrary expressions.
 """
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.anf import Anf, Context
+from repro.anf import Anf, Context, sortkernel
 from repro.anf.backend import (
     PackedBackend,
     SetBackend,
@@ -22,7 +23,6 @@ from repro.anf.termmatrix import (
     TERM_LIMIT,
     TermMatrix,
     concat_sorted,
-    replicate,
     xor_sorted,
 )
 
@@ -87,12 +87,6 @@ class TestTermMatrix:
         for matrix in marked:
             union |= set(matrix.to_list())
         assert concat_sorted(marked).to_list() == sorted(union)
-
-    @given(st.integers(min_value=0, max_value=(1 << 64) - 1), st.integers(min_value=0, max_value=40))
-    def test_replicate(self, mask, count):
-        rep = replicate(mask, count)
-        for i in range(count):
-            assert (rep >> (64 * i)) & ((1 << 64) - 1) == mask
 
     def test_from_terms_declines_wide_terms(self):
         assert TermMatrix.from_terms([0, TERM_LIMIT]) is None
@@ -240,3 +234,51 @@ class TestWideContexts:
         assert sorted(buckets) == [0b100]
         assert set(buckets[0b100].terms) == {1 << 68, 1}
         assert set(remainder.terms) == {1 << 69}
+
+
+class TestWideMasksOnPackedRows:
+    """A matrix-backed expression in a context of more than 64 variables: its
+    rows fit a word, but the masks it is queried with need not.  Python-int
+    masks past bit 63 overflow ``np.uint64`` arithmetic, so every query must
+    agree with the set backend on both sides of the kernel floor."""
+
+    WIDTH = 72
+
+    @given(
+        terms=st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), unique=True, max_size=40),
+        ones_mask=st.integers(min_value=0, max_value=(1 << WIDTH) - 1),
+        var=st.integers(min_value=0, max_value=WIDTH - 1),
+        value=st.booleans(),
+        tags_mask=st.integers(min_value=0, max_value=(1 << WIDTH) - 1),
+        floor=st.sampled_from([0, 1 << 62]),
+    )
+    @settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_set_backend(
+        self, monkeypatch, terms, ones_mask, var, value, tags_mask, floor
+    ):
+        monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", floor)
+        ctx = Context([f"w{i}" for i in range(self.WIDTH)])
+        plain = Anf(ctx, terms)
+        matrix = TermMatrix.from_terms(terms)
+        lazy = Anf._from_matrix(ctx, matrix)
+        assert lazy.evaluate_mask(ones_mask) == plain.evaluate_mask(ones_mask)
+        assert lazy.evaluate_mask(ones_mask | 1 << 70) == plain.evaluate_mask(
+            ones_mask | 1 << 70
+        )
+        name = f"w{var}"
+        assert lazy.cofactor(name, value).terms == plain.cofactor(name, value).terms
+        assert {
+            bit: comp.terms
+            for bit, comp in PackedBackend().scatter_by_tags(lazy, tags_mask).items()
+        } == {
+            bit: comp.terms
+            for bit, comp in SetBackend().scatter_by_tags(plain, tags_mask).items()
+        }
+        for mask in (tags_mask, tags_mask & ((1 << 64) - 1), 1 << var):
+            contained = all(t & mask == mask for t in terms)
+            assert matrix.contains_all(mask) == contained
+            if contained and mask < TERM_LIMIT:
+                stripped = matrix.strip_all(mask)
+                assert stripped.to_list() == sorted(t & ~mask for t in terms)
+                assert isinstance(stripped.words, np.ndarray)
+                assert not stripped.words.flags.writeable
