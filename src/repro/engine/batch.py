@@ -19,10 +19,11 @@ front door:
 
 Jobs carry a *spec builder* (an importable callable plus arguments) rather
 than built expressions: ``Anf``/``Context`` objects are cheap to rebuild and
-expensive to ship between processes.  Results come back as the cache's JSON
-records and are rebuilt into full :class:`Decomposition` objects in the
-parent, so a batch result is indistinguishable from an in-process run
-(modulo context identity).
+expensive to ship between processes.  Results cross back as the cache's
+record dicts (a packed term set pickles as one raw ``uint64`` buffer) and
+are rebuilt into full :class:`Decomposition` objects in the parent, so a
+batch result is indistinguishable from an in-process run (modulo context
+identity).
 """
 
 from __future__ import annotations
@@ -160,14 +161,14 @@ def job_fingerprint(builder: Callable, args: tuple, kwargs: Mapping[str, object]
 class JobOutcome:
     """The result of one decomposition job run through :func:`run_job`.
 
-    ``record`` is the cache's JSON-serialisable decomposition record
-    (rebuild with :func:`~repro.engine.cache.deserialize_decomposition`);
-    ``cache_hit`` says whether the decomposition was loaded rather than
-    computed; ``content_key``/``job_key`` are the cache coordinates it was
-    stored (or found) under, when a cache was in play.
+    ``decomposition`` is the result: on a miss (or with no cache) the
+    object the pipeline computed, on a hit the one decoded from the cache;
+    ``cache_hit`` says whether it was loaded rather than computed;
+    ``content_key``/``job_key`` are the cache coordinates it was stored (or
+    found) under, when a cache was in play.
     """
 
-    record: dict
+    decomposition: Decomposition
     seconds: float
     cache_hit: bool
     content_key: Optional[str] = None
@@ -186,9 +187,11 @@ def run_job(
 
     This is the worker body shared by the batch orchestrator and the service
     front-end: with a cache, the job index is consulted first (a hit skips
-    rebuilding and re-hashing the specification entirely and streams the
-    stored record back); on an index miss the spec is built, content-keyed,
-    decomposed (or loaded), and both cache layers are updated.
+    rebuilding and re-hashing the specification entirely and decodes the
+    stored record); on an index miss the spec is built, content-keyed,
+    decomposed (or loaded), and both cache layers are updated.  Hits go
+    through :meth:`DecompositionCache.load`, so a record that parses but
+    does not decode is quarantined and recomputed.
     """
     kwargs = dict(kwargs or {})
     cache = DecompositionCache(cache_dir) if cache_dir else None
@@ -199,33 +202,53 @@ def run_job(
         job_key = job_fingerprint(builder, args, kwargs, pipeline.config_key())
         content_key = cache.load_index(job_key)
         if content_key is not None:
-            record = cache.load_raw(content_key)
-            if record is not None:
-                return JobOutcome(record, time.perf_counter() - start, True,
+            decomposition = cache.load(content_key)
+            if decomposition is not None:
+                return JobOutcome(decomposition, time.perf_counter() - start, True,
                                   content_key, job_key)
     spec = builder(*args, **kwargs)
     outputs, input_words = _spec_parts(spec)
     if cache is None:
         decomposition = pipeline.run(outputs, input_words=input_words, options=options)
-        return JobOutcome(serialize_decomposition(decomposition),
-                          time.perf_counter() - start, False)
+        return JobOutcome(decomposition, time.perf_counter() - start, False)
     digest = canonical_spec_digest(outputs, input_words)
     content_key = cache_key(digest, pipeline.config_key())
-    record = cache.load_raw(content_key)
-    hit = record is not None
-    if record is None:
+    decomposition = cache.load(content_key)
+    hit = decomposition is not None
+    if decomposition is None:
         decomposition = pipeline.run(outputs, input_words=input_words, options=options)
-        record = cache.store(content_key, decomposition)
+        cache.store(content_key, decomposition)
     if job_key is not None:
         cache.store_index(job_key, content_key)
-    return JobOutcome(record, time.perf_counter() - start, hit, content_key, job_key)
+    return JobOutcome(decomposition, time.perf_counter() - start, hit, content_key, job_key)
 
 
-def _execute_job(payload: tuple) -> Tuple[str, dict, float, bool]:
+class _Shipped:
+    """A job's decomposition on its way back from :func:`_execute_job`.
+
+    In-process it is handed over as it is.  Pickled across a process
+    boundary it travels as its record dict (a packed term set is one raw
+    ``uint64`` buffer) and is decoded on arrival.
+    """
+
+    __slots__ = ("decomposition",)
+
+    def __init__(self, decomposition: Decomposition) -> None:
+        self.decomposition = decomposition
+
+    @classmethod
+    def _from_record(cls, record: dict) -> "_Shipped":
+        return cls(deserialize_decomposition(record))
+
+    def __reduce__(self):
+        return (_Shipped._from_record, (serialize_decomposition(self.decomposition),))
+
+
+def _execute_job(payload: tuple) -> Tuple[str, _Shipped, float, bool]:
     """Pool-worker wrapper around :func:`run_job` (picklable payload tuple)."""
     name, builder, args, kwargs, options, cache_dir, use_job_index = payload
     outcome = run_job(builder, args, kwargs, options, cache_dir, use_job_index)
-    return name, outcome.record, outcome.seconds, outcome.cache_hit
+    return name, _Shipped(outcome.decomposition), outcome.seconds, outcome.cache_hit
 
 
 # ----------------------------------------------------------------------
@@ -331,10 +354,10 @@ class BatchOrchestrator:
         ]
         raw = map_parallel(_execute_job, payloads, processes=self.processes)
         by_name: Dict[str, BatchResult] = {}
-        for name, record, seconds, hit in raw:
+        for name, shipped, seconds, hit in raw:
             by_name[name] = BatchResult(
                 name=name,
-                decomposition=deserialize_decomposition(record),
+                decomposition=shipped.decomposition,
                 seconds=seconds,
                 cache_hit=hit,
             )

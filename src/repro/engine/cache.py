@@ -9,6 +9,14 @@ the per-iteration trace, so a warm cache reproduces the cold result exactly
 (modulo the identity of the ``Context`` object, which is rebuilt with the
 same variable ordering so all monomial bitmasks survive round-tripping).
 
+Records are written by :func:`encode_record`: ``orjson`` renders a packed
+expression's ``uint64`` rows straight from the array, with no per-term
+Python objects; a record holding a mask of 64 bits or more (which orjson
+cannot encode) falls back to the stdlib ``json`` writer.  Both give the same
+bytes as ``json.dumps(record, separators=(",", ":"))`` for ASCII names.
+Records are read with the stdlib ``json.loads``, because ``orjson.loads``
+silently turns integers of 2**64 or more into floats.
+
 :class:`SynthesisCache` applies the same recipe to the synthesis stage of
 the evaluation flows: records are keyed by a canonical digest of the
 *design* being synthesised (a decomposition's structure, a specification's
@@ -51,6 +59,7 @@ from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
+import orjson
 
 from .. import faults
 
@@ -74,11 +83,13 @@ ENGINE_CACHE_EPOCH = "epoch-1"
 # ----------------------------------------------------------------------
 # Decomposition (de)serialisation
 # ----------------------------------------------------------------------
-def _anf_to_list(expr: Anf) -> List[int]:
-    """Sorted monomial masks; an attached matrix already holds them sorted."""
+def _anf_to_list(expr: Anf) -> np.ndarray | List[int]:
+    """Sorted monomial masks: an attached matrix's rows as they are (a
+    read-only, C-contiguous ``uint64`` array, not copied), else a sorted
+    list of ints."""
     matrix = expr.term_matrix()
     if matrix is not None:
-        return matrix.to_list()
+        return matrix.words
     return sorted(expr.terms)
 
 
@@ -92,17 +103,26 @@ def _all_ints(values: List[int]) -> bool:
         return False
 
 
-def _anf_from_list(ctx: Context, terms: List[int]) -> Anf:
-    """Rebuild a record's monomial list as an :class:`Anf`.
+def _anf_from_list(ctx: Context, terms: np.ndarray | List[int]) -> Anf:
+    """Rebuild a record's monomial list (or row array) as an :class:`Anf`.
 
-    A list of at least :data:`~repro.anf.sortkernel.KERNEL_MIN_ROWS`
-    strictly ascending 64-bit masks — what :func:`_anf_to_list` writes for
-    every packable expression — decodes straight to a packed matrix, so a
-    warm hit on a wide spec never builds its frozenset.  Anything else
-    (short, hand-edited out of order, duplicated, wider than a row, or
-    holding a non-``int`` entry, which numpy's ``uint64`` conversion would
-    silently truncate or parse) keeps the frozenset decode.
+    At least :data:`~repro.anf.sortkernel.KERNEL_MIN_ROWS` strictly
+    ascending 64-bit masks — what :func:`_anf_to_list` writes for every
+    packable expression — decode straight to a packed matrix, so a warm hit
+    on a wide spec never builds its frozenset.  A 1-D, C-contiguous
+    ``uint64`` array of such rows (a record that never left memory, or came
+    back through pickle writeable) is sealed read-only and used as it is;
+    any other array is decoded as its ``tolist()``.  Anything else (short,
+    hand-edited out of order, duplicated, wider than a row, or holding a
+    non-``int`` entry, which numpy's ``uint64`` conversion would silently
+    truncate or parse) keeps the frozenset decode.
     """
+    if isinstance(terms, np.ndarray):
+        if (terms.ndim == 1 and terms.dtype == np.uint64 and terms.flags.c_contiguous
+                and len(terms) >= sortkernel.KERNEL_MIN_ROWS
+                and (terms[1:] > terms[:-1]).all()):
+            return Anf._from_matrix(ctx, TermMatrix(sortkernel._frozen(terms)))
+        terms = terms.tolist()
     if len(terms) >= sortkernel.KERNEL_MIN_ROWS and _all_ints(terms):
         try:
             rows = np.fromiter(terms, dtype=np.uint64, count=len(terms))
@@ -115,7 +135,12 @@ def _anf_from_list(ctx: Context, terms: List[int]) -> Anf:
 
 
 def serialize_decomposition(decomposition: Decomposition) -> dict:
-    """Full JSON-serialisable rendering of a decomposition result."""
+    """Full rendering of a decomposition result as a record dict.
+
+    Packed expressions appear as their read-only ``uint64`` row arrays and
+    every other term set as a sorted list of ints; :func:`encode_record`
+    turns the dict into the bytes stored on disk.
+    """
     return {
         "schema": SCHEMA,
         "names": list(decomposition.ctx.names),
@@ -217,6 +242,22 @@ def deserialize_decomposition(data: dict) -> Decomposition:
     )
 
 
+def encode_record(record: dict) -> bytes:
+    """The on-disk bytes of a record dict: compact JSON.
+
+    ``orjson`` writes ``uint64`` row arrays without a per-term Python
+    object.  It raises ``TypeError`` on an int of 2**64 or more (a mask over
+    a context of more than 64 variables) and on a non-contiguous array;
+    such records go through the stdlib writer, which renders arrays via
+    ``tolist()``.
+    """
+    try:
+        return orjson.dumps(record, option=orjson.OPT_SERIALIZE_NUMPY)
+    except TypeError:
+        return json.dumps(record, separators=(",", ":"),
+                          default=np.ndarray.tolist).encode("utf-8")
+
+
 #: Advisory-lock and durability knobs for shared-storage cache directories.
 LOCK_ENV = "REPRO_CACHE_LOCK"
 FSYNC_ENV = "REPRO_CACHE_FSYNC"
@@ -296,11 +337,10 @@ def _atomic_write_bytes(root: Path, path: Path, payload: bytes, site: str) -> No
             raise
 
 
-def _atomic_json_dump(root: Path, path: Path, data: dict,
-                      site: str = "cache.store") -> None:
-    """Write ``data`` as compact JSON via tmp-file + rename (crash-safe)."""
+def _atomic_json_dump(root: Path, path: Path, data: dict) -> None:
+    """Write ``data`` as compact stdlib JSON via tmp-file + rename (crash-safe)."""
     payload = json.dumps(data, separators=(",", ":")).encode("utf-8")
-    _atomic_write_bytes(root, path, payload, site)
+    _atomic_write_bytes(root, path, payload, "cache.store")
 
 
 # ----------------------------------------------------------------------
@@ -418,7 +458,7 @@ class DecompositionCache:
             return None
         try:
             return deserialize_decomposition(raw)
-        except (KeyError, TypeError, ValueError):
+        except (AttributeError, KeyError, TypeError, ValueError):
             self._quarantine(self._path(key))
             return None
 
@@ -427,8 +467,9 @@ class DecompositionCache:
 
         Records that parse but do not look like decomposition records (wrong
         schema, missing sections — e.g. a foreign or truncated file at the
-        key path) are treated as misses, so callers that ship raw records
-        across processes don't crash on deserialisation.
+        key path) are treated as misses and quarantined.  A record that
+        passes this screen can still fail to decode; :meth:`load` catches
+        that too.
         """
         record = self._read_record(key)
         if self.telemetry is not None:
@@ -475,7 +516,7 @@ class DecompositionCache:
 
     def store_raw(self, key: str, data: dict) -> None:
         """Atomically persist an already-serialised record."""
-        _atomic_json_dump(self.root, self._path(key), data)
+        _atomic_write_bytes(self.root, self._path(key), encode_record(data), "cache.store")
         if self.telemetry is not None:
             self.telemetry.record_store()
 

@@ -49,7 +49,6 @@ from ..engine.batch import job_fingerprint, run_job
 from ..engine.cache import (
     SynthesisCache,
     decomposition_digest,
-    deserialize_decomposition,
     library_fingerprint,
     synthesis_cache_key,
 )
@@ -342,7 +341,7 @@ def execute_job(payload: Mapping, cache_dir: Optional[str]) -> dict:
         options=spec.options,
         cache_dir=cache_dir,
     )
-    decomposition = deserialize_decomposition(outcome.record)
+    decomposition = outcome.decomposition
     result: dict = {
         "kind": spec.kind,
         "circuit": spec.circuit,

@@ -33,6 +33,8 @@ from repro.engine import (
     decompose_cached,
 )
 from repro.engine.cache import FSYNC_ENV, LOCK_ENV
+from repro.service import parse_job_spec
+from repro.service.jobs import execute_job
 
 
 @pytest.fixture(autouse=True)
@@ -93,6 +95,27 @@ class TestTruncationSweep:
         cache, key, _, decomposition = _stored_record(tmp_path)
         assert_bit_identical(cache.load(key), decomposition)
         assert cache.telemetry.corrupt == 0
+
+
+class TestUndecodableRecord:
+    def test_job_quarantines_recomputes_then_hits(self, tmp_path):
+        # The record parses and has every section, but a block lost its
+        # level: the job must quarantine it and recompute, not fail forever.
+        payload = parse_job_spec({"circuit": "majority", "width": 7, "verify": True}).payload()
+        cold = execute_job(payload, str(tmp_path))
+        path = tmp_path / f"{cold['content_key']}.json"
+        record = json.loads(path.read_bytes())
+        del record["blocks"][0]["level"]
+        path.write_text(json.dumps(record))
+
+        rerun = execute_job(payload, str(tmp_path))
+        assert rerun["decomposition_cached"] is False
+        assert rerun["verified"] is True
+        assert corrupt_record_count(tmp_path) == 1
+        assert path.with_name(path.name + ".corrupt").exists()
+        for field_name in ("content_key", "blocks", "levels", "block_literals"):
+            assert rerun[field_name] == cold[field_name]
+        assert execute_job(payload, str(tmp_path))["decomposition_cached"] is True
 
 
 # ----------------------------------------------------------------------

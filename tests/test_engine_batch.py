@@ -4,6 +4,7 @@ import hashlib
 import json
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,7 @@ from repro.anf import (
     sortkernel,
     variables,
 )
+from repro.anf.backend import using_backend
 from repro.benchcircuits import adder_spec, counter_spec, lzd_spec, majority_spec
 from repro.core import DecompositionOptions, progressive_decomposition
 from repro.core.decompose import Decomposition
@@ -34,6 +36,7 @@ from repro.engine import (
     deserialize_decomposition,
     serialize_decomposition,
 )
+from repro.engine.cache import encode_record
 from repro.service.jobs import CIRCUITS
 
 
@@ -344,15 +347,15 @@ class TestPackedSerialization:
         assert list(expr.terms) != sorted(terms)  # frozenset order is not sorted
         assert expr.term_matrix(build=True) is not None
         record = serialize_decomposition(_bare_decomposition({"f": expr}))
-        assert record["original"]["f"] == sorted(terms)
-        assert record["outputs"]["f"] == sorted(terms)
+        assert record["original"]["f"].tolist() == sorted(terms)
+        assert record["outputs"]["f"].tolist() == sorted(terms)
 
     def test_wide_round_trip_is_byte_identical_and_packed(self):
         spec = lzd_spec(12)
         decomposition = progressive_decomposition(spec.outputs, input_words=spec.input_words)
         record = serialize_decomposition(decomposition)
         rebuilt = deserialize_decomposition(record)
-        assert json.dumps(serialize_decomposition(rebuilt)) == json.dumps(record)
+        assert encode_record(serialize_decomposition(rebuilt)) == encode_record(record)
         wide = [p for p, e in rebuilt.original.items()
                 if e.num_terms >= sortkernel.KERNEL_MIN_ROWS]
         assert wide
@@ -367,7 +370,7 @@ class TestPackedSerialization:
     def test_hand_edited_wide_list_decodes_through_the_set_path(self, edit):
         spec = lzd_spec(12)
         record = serialize_decomposition(_bare_decomposition(spec.outputs))
-        terms = record["original"]["v"]
+        terms = record["original"]["v"].tolist()
         assert len(terms) >= sortkernel.KERNEL_MIN_ROWS
         # The float truncates back to the row it replaced and the string
         # parses as that row: numpy's uint64 conversion would accept both.
@@ -383,6 +386,107 @@ class TestPackedSerialization:
         decoded = deserialize_decomposition(record).original["v"]
         assert decoded.term_matrix() is None
         assert decoded.terms == frozenset(edited)
+
+
+def _tolisted(value):
+    """``value`` with every ndarray turned into its ``tolist()``."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _tolisted(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_tolisted(item) for item in value]
+    return value
+
+
+def _widest(value):
+    """The largest int anywhere in a list-form record."""
+    if isinstance(value, dict):
+        return max(map(_widest, value.values()), default=0)
+    if isinstance(value, list):
+        return max(map(_widest, value), default=0)
+    return value if type(value) is int else 0
+
+
+class TestRecordWriter:
+    """Stored bytes equal the stdlib ``json`` rendering of the list form."""
+
+    @pytest.mark.parametrize("circuit,width,backend", [
+        ("lzd", 12, "packed"),        # wide packed rows through orjson
+        ("adder", 10, "packed"),      # masks of 2**64 or more: stdlib fallback
+        ("majority", 7, "set"),       # set-backed lists
+    ])
+    def test_stored_bytes_equal_stdlib_json(self, tmp_path, circuit, width, backend):
+        with using_backend(backend):
+            spec = CIRCUITS[circuit](width)
+            decomposition = progressive_decomposition(
+                spec.outputs, input_words=spec.input_words)
+            cache = DecompositionCache(tmp_path)
+            record = cache.store("k", decomposition)
+        stored = cache._path("k").read_bytes()
+        plain = _tolisted(record)
+        assert stored == json.dumps(plain, separators=(",", ":")).encode()
+        # Only adder's block variables widen its context past 64 variables.
+        assert (_widest(plain) >= 1 << 64) == (circuit == "adder")
+        if circuit == "lzd":
+            assert any(len(terms) >= sortkernel.KERNEL_MIN_ROWS
+                       for terms in record["original"].values()
+                       if isinstance(terms, np.ndarray))
+        if backend == "set":
+            assert not any(isinstance(terms, np.ndarray)
+                           for terms in record["original"].values())
+
+    def test_non_ascii_names_round_trip(self, tmp_path):
+        ctx = Context()
+        bits = ctx.bus("\u00e4", 5)
+        outputs = {"gr\u00f6\u00dfe": majority(variables(ctx, bits), ctx)}
+        decomposition = progressive_decomposition(outputs, input_words=[bits])
+        cache = DecompositionCache(tmp_path)
+        cache.store("k", decomposition)
+        stored = cache._path("k").read_bytes()
+        assert json.loads(stored) == json.loads(
+            json.dumps(_tolisted(serialize_decomposition(decomposition))))
+        rebuilt = cache.load("k")
+        assert rebuilt.ctx.names == decomposition.ctx.names
+        assert_bit_identical(decomposition, rebuilt)
+        assert rebuilt.verify()
+
+
+class TestArrayDecode:
+    """``deserialize_decomposition`` on records that hold row arrays."""
+
+    @staticmethod
+    def _decode(rows):
+        record = serialize_decomposition(_bare_decomposition(lzd_spec(12).outputs))
+        record["original"]["v"] = rows
+        return deserialize_decomposition(record).original["v"]
+
+    @staticmethod
+    def _wide_rows():
+        rows = np.asarray(lzd_spec(12).outputs["v"].term_list(), dtype=np.uint64)
+        rows.sort()
+        assert len(rows) >= sortkernel.KERNEL_MIN_ROWS
+        return rows
+
+    def test_ascending_array_becomes_a_read_only_matrix(self):
+        rows = self._wide_rows()
+        assert rows.flags.writeable  # as an unpickled array comes back
+        decoded = self._decode(rows)
+        assert _is_matrix_backed(decoded)
+        words = decoded.term_matrix().words
+        assert not words.flags.writeable
+        assert words.tolist() == rows.tolist()
+
+    @pytest.mark.parametrize("edit", ["reversed", "duplicated"])
+    def test_unsorted_array_decodes_through_the_set_path(self, edit):
+        rows = self._wide_rows()
+        edited = {
+            "reversed": rows[::-1].copy(),
+            "duplicated": np.concatenate([rows, rows[:1]]),
+        }[edit]
+        decoded = self._decode(edited)
+        assert decoded.term_matrix() is None
+        assert decoded.terms == frozenset(edited.tolist())
 
 
 class TestDecompositionCache:
@@ -453,6 +557,25 @@ class TestBatchOrchestrator:
             input_words=majority_spec(7).input_words,
         )
         assert_bit_identical(reference, results["maj7-noident"].decomposition)
+
+    def test_pooled_matrices_come_back_read_only(self, tmp_path):
+        jobs = [BatchJob("lzd12", lzd_spec, (12,)), BatchJob("maj7", majority_spec, (7,))]
+        cold = BatchOrchestrator(tmp_path, processes=2).run(jobs)
+        warm = BatchOrchestrator(tmp_path, processes=2).run(jobs)
+        for name in ("lzd12", "maj7"):
+            assert not cold[name].cache_hit and warm[name].cache_hit
+            assert_bit_identical(cold[name].decomposition, warm[name].decomposition)
+        spec = lzd_spec(12)
+        expected = progressive_decomposition(spec.outputs, input_words=spec.input_words)
+        assert_bit_identical(expected, cold["lzd12"].decomposition)
+        matrices = [
+            expr.term_matrix()
+            for results in (cold, warm)
+            for expr in results["lzd12"].decomposition.original.values()
+            if _is_matrix_backed(expr)
+        ]
+        assert len(matrices) >= 2
+        assert not any(matrix.words.flags.writeable for matrix in matrices)
 
     def test_second_run_hits_the_cache(self, tmp_path):
         jobs = [BatchJob("maj7", majority_spec, (7,))]
@@ -559,6 +682,22 @@ class TestCacheRobustness:
         broken["blocks"] = [{"definitely": "not a block"}]
         (tmp_path / f"{key}.json").write_text(_json.dumps(broken))
         assert cache.load(key) is None
+        result, hit = decompose_cached(outputs, input_words=words, cache=cache)
+        assert not hit
+        assert result.verify()
+
+    def test_wrongly_typed_section_record_recomputes(self, tmp_path):
+        # A dict section turned into a list fails with AttributeError on
+        # decode; that is a miss and a quarantine like any other breakage.
+        cache = DecompositionCache(tmp_path)
+        outputs, words = _majority_outputs(5)
+        key = self._content_key(outputs, words)
+        decompose_cached(outputs, input_words=words, cache=cache)
+        broken = cache.load_raw(key)
+        broken["iterations"][0]["removed_blocks"] = []
+        (tmp_path / f"{key}.json").write_text(json.dumps(broken))
+        assert cache.load(key) is None
+        assert (tmp_path / f"{key}.json.corrupt").exists()
         result, hit = decompose_cached(outputs, input_words=words, cache=cache)
         assert not hit
         assert result.verify()

@@ -18,10 +18,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from test_engine_parity import assert_bit_identical
+
 from repro.engine import CacheTelemetry, DecompositionCache, run_job
 from repro.benchcircuits import majority_spec
 from repro.service import ServiceThread, SpecError, parse_job_spec
-from repro.service.jobs import MAX_WIDTH
+from repro.service.jobs import MAX_WIDTH, execute_job
 
 
 def http_json(url, data=None, method=None, timeout=60.0):
@@ -296,7 +298,7 @@ class TestEngineJobApi:
         cold = run_job(majority_spec, (5,), cache_dir=str(tmp_path))
         warm = run_job(majority_spec, (5,), cache_dir=str(tmp_path))
         assert cold.cache_hit is False and warm.cache_hit is True
-        assert warm.record == cold.record
+        assert_bit_identical(warm.decomposition, cold.decomposition)
         assert warm.content_key == cold.content_key
         assert warm.job_key == cold.job_key is not None
 
@@ -307,7 +309,38 @@ class TestEngineJobApi:
         outcome = run_job(majority_spec, (5,), cache_dir=str(tmp_path))
         assert cache.load_raw(outcome.content_key) is not None
         assert telemetry.misses == 1 and telemetry.hits == 1
-        cache.store_raw("extra", outcome.record)
+        cache.store("extra", outcome.decomposition)
         assert telemetry.stores == 1
         snap = telemetry.snapshot()
         assert snap["hit_rate"] == 0.5 and snap["stores"] == 1
+
+    def test_miss_hands_back_what_the_cache_decodes(self, tmp_path):
+        outcome = run_job(majority_spec, (7,), cache_dir=str(tmp_path))
+        assert outcome.cache_hit is False
+        stored = DecompositionCache(tmp_path).load(outcome.content_key)
+        assert_bit_identical(stored, outcome.decomposition)
+        assert stored.verify() and outcome.decomposition.verify()
+
+    def test_cold_execute_job_never_decodes_a_record(self, tmp_path, monkeypatch):
+        import repro.engine.batch
+        import repro.engine.cache
+        import repro.service.jobs
+
+        calls = []
+        decode = repro.engine.cache.deserialize_decomposition
+
+        def counting(data):
+            calls.append(data)
+            return decode(data)
+
+        # Every module that could hold the name, so a re-import is caught too.
+        for module in (repro.engine.cache, repro.engine.batch, repro.service.jobs):
+            if hasattr(module, "deserialize_decomposition"):
+                monkeypatch.setattr(module, "deserialize_decomposition", counting)
+        payload = parse_job_spec({"circuit": "majority", "width": 7, "verify": True}).payload()
+        result = execute_job(payload, str(tmp_path))
+        assert result["decomposition_cached"] is False and result["verified"] is True
+        assert calls == []
+        warm = execute_job(payload, str(tmp_path))
+        assert warm["decomposition_cached"] is True
+        assert len(calls) == 1  # the counter is live: a hit decodes once
