@@ -14,8 +14,11 @@ expression's ``uint64`` rows straight from the array, with no per-term
 Python objects; a record holding a mask of 64 bits or more (which orjson
 cannot encode) falls back to the stdlib ``json`` writer.  Both give the same
 bytes as ``json.dumps(record, separators=(",", ":"))`` for ASCII names.
-Records are read with the stdlib ``json.loads``, because ``orjson.loads``
-silently turns integers of 2**64 or more into floats.
+Records are read by :func:`decode_record`: every span of at least
+``KERNEL_MIN_ROWS`` rows written exactly as the writer writes them is
+parsed by numpy into a read-only ``uint64`` array, and the rest of the
+record by the stdlib ``json.loads`` (``orjson.loads`` silently turns
+integers of 2**64 or more into floats).
 
 :class:`SynthesisCache` applies the same recipe to the synthesis stage of
 the evaluation flows: records are keyed by a canonical digest of the
@@ -52,6 +55,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -93,29 +97,18 @@ def _anf_to_list(expr: Anf) -> np.ndarray | List[int]:
     return sorted(expr.terms)
 
 
-def _all_ints(values: List[int]) -> bool:
-    """True when every entry is an ``int``, in one C-level pass: ``sum``
-    stays an ``int`` exactly then (a float entry turns it into a float, any
-    other type raises)."""
-    try:
-        return type(sum(values)) is int
-    except TypeError:
-        return False
-
-
 def _anf_from_list(ctx: Context, terms: np.ndarray | List[int]) -> Anf:
-    """Rebuild a record's monomial list (or row array) as an :class:`Anf`.
+    """Rebuild a record's row array (or monomial list) as an :class:`Anf`.
 
-    At least :data:`~repro.anf.sortkernel.KERNEL_MIN_ROWS` strictly
-    ascending 64-bit masks — what :func:`_anf_to_list` writes for every
-    packable expression — decode straight to a packed matrix, so a warm hit
-    on a wide spec never builds its frozenset.  A 1-D, C-contiguous
-    ``uint64`` array of such rows (a record that never left memory, or came
-    back through pickle writeable) is sealed read-only and used as it is;
-    any other array is decoded as its ``tolist()``.  Anything else (short,
-    hand-edited out of order, duplicated, wider than a row, or holding a
-    non-``int`` entry, which numpy's ``uint64`` conversion would silently
-    truncate or parse) keeps the frozenset decode.
+    A 1-D, C-contiguous ``uint64`` array of at least
+    :data:`~repro.anf.sortkernel.KERNEL_MIN_ROWS` strictly ascending rows —
+    what :func:`decode_record` reads from every canonical row span, and what
+    a record that never left memory (or came back through pickle writeable)
+    holds — is sealed read-only and used as it is, so a warm hit on a wide
+    spec never builds its frozenset.  Any other array is decoded as its
+    ``tolist()``, and every list (short, or hand-edited out of order,
+    duplicated, wider than a row, or holding a non-``int`` entry) keeps the
+    frozenset decode.
     """
     if isinstance(terms, np.ndarray):
         if (terms.ndim == 1 and terms.dtype == np.uint64 and terms.flags.c_contiguous
@@ -123,14 +116,6 @@ def _anf_from_list(ctx: Context, terms: np.ndarray | List[int]) -> Anf:
                 and (terms[1:] > terms[:-1]).all()):
             return Anf._from_matrix(ctx, TermMatrix(sortkernel._frozen(terms)))
         terms = terms.tolist()
-    if len(terms) >= sortkernel.KERNEL_MIN_ROWS and _all_ints(terms):
-        try:
-            rows = np.fromiter(terms, dtype=np.uint64, count=len(terms))
-        except OverflowError:  # negative, or wider than a row
-            pass
-        else:
-            if (rows[1:] > rows[:-1]).all():
-                return Anf._from_matrix(ctx, TermMatrix(sortkernel._frozen(rows)))
     return Anf._raw(ctx, frozenset(terms))
 
 
@@ -256,6 +241,110 @@ def encode_record(record: dict) -> bytes:
     except TypeError:
         return json.dumps(record, separators=(",", ":"),
                           default=np.ndarray.tolist).encode("utf-8")
+
+
+#: Opens a candidate row span: a ``[`` whose next byte is a digit.
+_ROW_SPAN_OPEN = re.compile(rb"\[[0-9]")
+#: ``10**k`` for k = 1..19: a row ``r`` has ``1 + #{k : r >= 10**k}`` digits.
+_DIGIT_STEPS = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
+#: Prefix of the JSON strings that stand in for accepted row spans.
+_ROW_SENTINEL = "\x00rows:"
+
+
+def _canonical_rows(span: bytes) -> Optional[np.ndarray]:
+    """``span`` parsed as rows if it is exactly what :func:`encode_record`
+    writes for a row array, else ``None``.
+
+    ``np.fromstring`` tolerates leading zeros, whitespace and a trailing
+    comma, and saturates values of 2**64 or more to 2**64-1; the length
+    identity (every byte is a digit of some row or one of the ``n-1``
+    commas between them) and the maximum-value check reject all of those.
+    The identity also rejects the rows numpy 1.x returns, with a
+    ``DeprecationWarning`` instead of a ``ValueError``, from a partial
+    parse.  A ``-`` is refused up front because numpy 1.x wraps a negative
+    token to a 20-digit row, which could balance the identity against
+    leading zeros.
+    """
+    if b"-" in span:
+        return None
+    try:
+        rows = np.fromstring(span, dtype=np.uint64, sep=",")
+    except ValueError:
+        return None
+    n = len(rows)
+    if (n < sortkernel.KERNEL_MIN_ROWS or rows[-1] == sortkernel.ROW_MASK
+            or not (rows[1:] > rows[:-1]).all()):
+        return None
+    digits = n + n * len(_DIGIT_STEPS) - int(np.searchsorted(rows, _DIGIT_STEPS).sum())
+    if len(span) != n - 1 + digits:
+        return None
+    return sortkernel._frozen(rows)
+
+
+def _put_rows(value: dict | list, rows: List[np.ndarray]) -> int:
+    """Replace, in place, every sentinel among the values (never the keys)
+    under ``value`` by its row array; returns how many were replaced."""
+    met = 0
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for slot, item in items:
+        if isinstance(item, str) and item.startswith(_ROW_SENTINEL):
+            value[slot] = rows[int(item[len(_ROW_SENTINEL):])]
+            met += 1
+        elif isinstance(item, (dict, list)):
+            met += _put_rows(item, rows)
+    return met
+
+
+def decode_record(raw: bytes) -> dict:
+    """A record's bytes parsed back into a record dict: the mirror of
+    :func:`encode_record`.
+
+    Every array whose bytes are exactly what :func:`encode_record` writes
+    for a row array (at least ``KERNEL_MIN_ROWS`` strictly ascending rows
+    below 2**64-1, canonical decimals, no whitespace) comes back as a
+    read-only ``uint64`` array parsed by numpy, with no per-term Python
+    int.  Those spans are spliced out for ``"\\u0000rows:<k>"`` sentinels,
+    the small skeleton left over goes through ``json.loads``, and the
+    arrays are put back where the sentinels lie.  Everything else decodes
+    as ``json.loads(raw)`` would, and so does the whole record whenever the
+    skeleton disagrees with the splice (it does not parse, as when a span
+    sat inside a string; a sentinel landed on a key or under a duplicate
+    key that lost; or ``raw`` spells a NUL outside the spans, so a sentinel
+    could be forged) — including which inputs raise ``ValueError``.
+    """
+    min_len = 2 * sortkernel.KERNEL_MIN_ROWS - 1
+    rows: List[np.ndarray] = []
+    pieces = []
+    done = 0  # bytes of ``raw`` already spliced into ``pieces``
+    close = -1
+    for match in _ROW_SPAN_OPEN.finditer(raw):
+        start = match.start() + 1
+        if start > close:  # else the ``]`` found last is still the next one
+            close = raw.find(b"]", start)
+            if close < 0:
+                break
+        # A span holding a ``[`` is never canonical, and skipping it keeps
+        # the spans handed to numpy disjoint, so the scan stays linear.
+        if close - start < min_len or raw.find(b"[", start, close) >= 0:
+            continue
+        parsed = _canonical_rows(raw[start:close])
+        if parsed is None:
+            continue
+        pieces += [raw[done:start - 1], b'"\\u0000rows:%d"' % len(rows)]
+        rows.append(parsed)
+        done = close + 1
+    pieces.append(raw[done:])
+    # A JSON string can only hold a NUL as ``\\u0000``: with none outside
+    # the spans, every sentinel in the skeleton is one spliced in above.
+    if not rows or any(b"\\u0000" in piece for piece in pieces[::2]):
+        return json.loads(raw)
+    try:
+        holder = [json.loads(b"".join(pieces))]
+        if _put_rows(holder, rows) == len(rows):
+            return holder[0]
+    except (ValueError, RecursionError):
+        pass
+    return json.loads(raw)
 
 
 #: Advisory-lock and durability knobs for shared-storage cache directories.
@@ -465,6 +554,8 @@ class DecompositionCache:
     def load_raw(self, key: str) -> Optional[dict]:
         """The cached serialised record for ``key``, or ``None``.
 
+        The record is as :func:`decode_record` reads it: canonical row spans
+        are read-only ``uint64`` arrays, everything else plain JSON values.
         Records that parse but do not look like decomposition records (wrong
         schema, missing sections — e.g. a foreign or truncated file at the
         key path) are treated as misses and quarantined.  A record that
@@ -496,8 +587,8 @@ class DecompositionCache:
         except OSError:
             return None  # transient I/O failure: miss, but nothing to blame
         try:
-            record = json.loads(raw)
-        except ValueError:
+            record = decode_record(raw)
+        except (ValueError, RecursionError):  # RecursionError: nested too deep
             self._quarantine(path)
             return None
         required = ("names", "options", "primary_inputs", "original",
@@ -671,7 +762,7 @@ class SynthesisCache:
             return None
         try:
             record = json.loads(raw)
-        except ValueError:
+        except (ValueError, RecursionError):  # RecursionError: nested too deep
             self._quarantine(path)
             return None
         if not isinstance(record, dict) or record.get("schema") != SYNTH_SCHEMA:

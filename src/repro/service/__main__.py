@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import gc
 import os
 import signal
 import sys
@@ -61,6 +62,11 @@ def main(argv=None) -> int:
     )
 
     def ready(service) -> None:
+        # The long-lived heap (modules, numpy, the server) is built by now:
+        # freeze it out of the cyclic collector, so a full collection walks
+        # only what requests left behind instead of stalling the event loop
+        # over the whole heap.
+        gc.freeze()
         print(f"listening on http://{config.host}:{service.port} "
               f"(workers={workers}, cache={args.cache_dir or 'off'})", flush=True)
         if args.port_file:

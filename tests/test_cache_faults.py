@@ -14,6 +14,7 @@ fault sites (``cache.store.payload``, ``cache.store.rename``,
 
 import json
 import os
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from test_engine_parity import assert_bit_identical
 
 from repro import faults
 from repro.anf import Context, canonical_spec_digest, majority, variables
+from repro.benchcircuits import lzd_spec
 from repro.core import progressive_decomposition
 from repro.engine import (
     CacheTelemetry,
@@ -58,10 +60,21 @@ def _majority_outputs(width: int):
     return {"maj": majority(variables(ctx, bits), ctx)}, [bits]
 
 
-def _stored_record(cache_dir):
+def _lzd_outputs(width: int):
+    spec = lzd_spec(width)
+    return spec.outputs, spec.input_words
+
+
+#: Record sources: majority-5 holds only short term lists; lzd-12 holds two
+#: row spans of at least ``KERNEL_MIN_ROWS`` rows, which the reader parses
+#: with numpy.
+SPECS = {"majority-5": lambda: _majority_outputs(5), "lzd-12": lambda: _lzd_outputs(12)}
+
+
+def _stored_record(cache_dir, spec="majority-5"):
     """A real committed record: (cache, key, record_path, decomposition)."""
     cache = DecompositionCache(cache_dir, telemetry=CacheTelemetry())
-    outputs, words = _majority_outputs(5)
+    outputs, words = SPECS[spec]()
     pipeline = Pipeline.from_options(None)
     key = cache_key(canonical_spec_digest(outputs, words), pipeline.config_key())
     decomposition, hit = decompose_cached(outputs, input_words=words, cache=cache)
@@ -73,11 +86,12 @@ def _stored_record(cache_dir):
 # Byte-level truncation sweep: any prefix of a record is survivable
 # ----------------------------------------------------------------------
 class TestTruncationSweep:
+    @pytest.mark.parametrize("spec", sorted(SPECS))
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_any_prefix_is_a_quarantined_miss(self, tmp_path_factory, data):
+    def test_any_prefix_is_a_quarantined_miss(self, tmp_path_factory, spec, data):
         tmp_path = tmp_path_factory.mktemp("trunc")
-        cache, key, path, decomposition = _stored_record(tmp_path)
+        cache, key, path, decomposition = _stored_record(tmp_path, spec)
         payload = path.read_bytes()
         cut = data.draw(st.integers(min_value=0, max_value=len(payload) - 1))
         path.write_bytes(payload[:cut])
@@ -95,6 +109,38 @@ class TestTruncationSweep:
         cache, key, _, decomposition = _stored_record(tmp_path)
         assert_bit_identical(cache.load(key), decomposition)
         assert cache.telemetry.corrupt == 0
+
+
+class TestNestedTooDeep:
+    """A record nested past the parser's recursion limit is a quarantined
+    miss (``RecursionError``), not an error every job for the key repeats."""
+
+    def _assert_quarantined(self, cache, path, lookup):
+        assert lookup() is None
+        assert not path.exists()
+        assert corrupt_record_count(path.parent) == 1
+        assert cache.telemetry.corrupt == 1
+
+    def test_decomposition_record(self, tmp_path):
+        cache, key, path, _ = _stored_record(tmp_path)
+        path.write_bytes(b"[" * 100000)
+        self._assert_quarantined(cache, path, lambda: cache.load(key))
+
+    def test_synthesis_record(self, tmp_path):
+        cache = SynthesisCache(tmp_path, telemetry=CacheTelemetry())
+        path = tmp_path / "k.json"
+        path.write_bytes(b'{"a":' * 100000)
+        self._assert_quarantined(cache, path, lambda: cache.load("k"))
+
+    @pytest.mark.parametrize("opening", [b"[", b"[1,"], ids=["brackets", "row-openings"])
+    def test_long_run_of_openings_quarantines_promptly(self, tmp_path, opening):
+        # Every ``[1,`` opens a candidate row span ending at the same ``]``:
+        # a reader that searched for it afresh each time would be quadratic.
+        cache, key, path, _ = _stored_record(tmp_path)
+        path.write_bytes(opening * 10**6 + b"]")
+        began = time.perf_counter()
+        self._assert_quarantined(cache, path, lambda: cache.load(key))
+        assert time.perf_counter() - began < 10.0
 
 
 class TestUndecodableRecord:

@@ -1,7 +1,9 @@
 """Tests for canonical spec hashing, the on-disk cache, and the orchestrator."""
 
+import functools
 import hashlib
 import json
+import re
 import time
 
 import numpy as np
@@ -36,7 +38,7 @@ from repro.engine import (
     deserialize_decomposition,
     serialize_decomposition,
 )
-from repro.engine.cache import encode_record
+from repro.engine.cache import decode_record, encode_record
 from repro.service.jobs import CIRCUITS
 
 
@@ -487,6 +489,162 @@ class TestArrayDecode:
         decoded = self._decode(edited)
         assert decoded.term_matrix() is None
         assert decoded.terms == frozenset(edited.tolist())
+
+
+@functools.lru_cache(maxsize=None)
+def _lzd12_record():
+    """The lzd-12 decomposition record, as a dict and as its stored bytes."""
+    spec = lzd_spec(12)
+    decomposition = progressive_decomposition(spec.outputs, input_words=spec.input_words)
+    record = serialize_decomposition(decomposition)
+    return record, encode_record(record)
+
+
+def _lzd12_record_bytes():
+    return _lzd12_record()[1]
+
+
+#: Row arrays as the writer renders them, found independently of the reader.
+_ROW_SPAN = re.compile(rb"\[([0-9][0-9,]*)\]")
+
+
+def _row_spans(raw):
+    """``(start, end)`` of every written span of at least ``KERNEL_MIN_ROWS`` rows."""
+    return [match.span(1) for match in _ROW_SPAN.finditer(raw)
+            if match.group(1).count(b",") + 1 >= sortkernel.KERNEL_MIN_ROWS]
+
+
+def _arrays(value):
+    """Every ndarray under a decoded record, in document order."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (dict, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _arrays(item)
+
+
+class TestDecodeRecord:
+    """``decode_record`` is ``json.loads`` with canonical row spans as arrays."""
+
+    #: Edits of one row token: the record stays valid JSON (or stops being
+    #: JSON for both parsers) but the span is no longer what the writer emits.
+    TOKEN_EDITS = {
+        "leading-zero": lambda token: b"0" + token,
+        "plus": lambda token: b"+" + token,
+        "minus": lambda token: b"-" + token,
+        "space": lambda token: b" " + token,
+        "vertical-tab": lambda token: b"\x0b" + token,
+        "duplicated": lambda token: token + b"," + token,
+    }
+    #: New last rows: still ascending, but only the first is a row the
+    #: writer can emit (``fromstring`` reads the last two as 2**64-1).
+    LAST_ROWS = {"twenty-digits": 10**19 + 7, "max-row": 2**64 - 1, "overflow": 2**64}
+
+    @staticmethod
+    def _check(raw, arrays):
+        """Same answer as ``json.loads`` (or the same ``ValueError``), with
+        exactly ``arrays`` read-only ``uint64`` row arrays in it."""
+        try:
+            expected = json.loads(raw)
+        except ValueError:
+            with pytest.raises(ValueError):
+                decode_record(raw)
+            return
+        decoded = decode_record(raw)
+        assert _tolisted(decoded) == expected
+        found = list(_arrays(decoded))
+        assert len(found) == arrays
+        for rows in found:
+            assert rows.dtype == np.uint64 and rows.ndim == 1
+            assert not rows.flags.writeable
+
+    def test_exactly_the_canonical_spans_come_back_as_arrays(self):
+        record, raw = _lzd12_record()
+        decoded = decode_record(raw)
+        wide = [(port, rows) for port, rows in record["original"].items()
+                if isinstance(rows, np.ndarray) and len(rows) >= sortkernel.KERNEL_MIN_ROWS]
+        assert len(wide) == len(_row_spans(raw)) == 2
+        for port, rows in wide:
+            assert isinstance(decoded["original"][port], np.ndarray)
+            assert decoded["original"][port].tolist() == rows.tolist()
+        self._check(raw, arrays=2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_truncation(self, data):
+        raw = _lzd12_record_bytes()
+        cut = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
+        self._check(raw[:cut], arrays=0)
+
+    @pytest.mark.parametrize("edit", sorted(TOKEN_EDITS))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_edited_row_token(self, edit, data):
+        raw = _lzd12_record_bytes()
+        spans = _row_spans(raw)
+        start, end = spans[data.draw(st.integers(0, len(spans) - 1))]
+        tokens = raw[start:end].split(b",")
+        at = data.draw(st.integers(0, len(tokens) - 1))
+        tokens[at] = self.TOKEN_EDITS[edit](tokens[at])
+        edited = raw[:start] + b",".join(tokens) + raw[end:]
+        self._check(edited, arrays=len(spans) - 1)
+
+    @pytest.mark.parametrize("edit", ["reversed", "trailing-comma", *LAST_ROWS])
+    def test_edited_span(self, edit):
+        raw = _lzd12_record_bytes()
+        for start, end in _row_spans(raw):
+            span = raw[start:end]
+            if edit in self.LAST_ROWS:
+                span = span.rsplit(b",", 1)[0] + b",%d" % self.LAST_ROWS[edit]
+            else:
+                span = {"reversed": b",".join(span.split(b",")[::-1]),
+                        "trailing-comma": span + b","}[edit]
+            self._check(raw[:start] + span + raw[end:],
+                        arrays=1 + (edit == "twenty-digits"))
+
+    @pytest.mark.parametrize("forged", [False, True])
+    def test_span_as_a_key(self, forged):
+        # Invalid JSON whose skeleton parses: the sentinel lands on a key,
+        # so the walk misses it and the reader defers to ``json.loads`` —
+        # also when a name forges the missing sentinel's text.
+        raw = _lzd12_record_bytes()
+        start, end = _row_spans(raw)[-1]
+        if forged:
+            raw = raw.replace(b'"name":"t1_0"', b'"name":"\\u0000rows:2"')
+        self._check(raw[:-1] + b",[" + raw[start:end] + b"]:0}", arrays=0)
+
+    def test_duplicate_key_drops_a_span(self):
+        # The later ``v`` wins in both parsers, so one sentinel is never met.
+        raw = _lzd12_record_bytes()
+        start, end = _row_spans(raw)[-1]
+        assert raw[start - len(b'"v":['):start] == b'"v":['
+        self._check(raw[:end + 1] + b',"v":[1,2]' + raw[end + 1:], arrays=0)
+
+    @pytest.mark.parametrize("where", ["variable", "block"])
+    @pytest.mark.parametrize("name", [
+        pytest.param("[" + ",".join(map(str, range(2048))) + "]", id="digit-list"),
+        *(pytest.param(f"\\u0000rows:{k}", id=f"sentinel-{k}") for k in range(3)),
+    ])
+    def test_name_that_looks_like_rows(self, name, where):
+        # A span inside a string, or a foreign sentinel before (a variable
+        # name) or after (a block name) the real spans: the reader declines
+        # the whole record to ``json.loads``.
+        raw = _lzd12_record_bytes()
+        target = {"variable": b'"names":["a0"', "block": b'"name":"t1_0"'}[where]
+        assert raw.count(target) == 1
+        quoted = b'"' + name.encode() + b'"'
+        self._check(raw.replace(target, target.rsplit(b'"', 2)[0] + quoted), arrays=0)
+
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_duplicate_original_key(self, position):
+        raw = _lzd12_record_bytes()
+        start, end = _row_spans(raw)[-1]
+        duplicate = b'"original":{"v":[' + raw[start:end] + b"]}"
+        if position == "first":
+            edited = b"{" + duplicate + b"," + raw[1:]
+        else:
+            edited = raw[:-1] + b"," + duplicate + b"}"
+        self._check(edited, arrays=0)
 
 
 class TestDecompositionCache:

@@ -10,6 +10,7 @@ and because every mapped function is pure, the fallback results are
 bit-identical to the healthy parallel path.
 """
 
+import gc
 import os
 import signal
 
@@ -54,8 +55,13 @@ class TestPoolWorkerFlag:
 
     def test_mark_pool_worker_sets_flag(self, monkeypatch):
         monkeypatch.setattr(parallel, "_pool_worker", False)
-        mark_pool_worker()
-        assert in_pool_worker() is True
+        try:
+            mark_pool_worker()
+            assert in_pool_worker() is True
+            # The inherited heap is frozen out of the cyclic collector.
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
         monkeypatch.setattr(parallel, "_pool_worker", False)
 
     def test_shard_workers_disabled_inside_pool_worker(self, monkeypatch):
