@@ -5,8 +5,8 @@ Runs the Table-1-row benchmark circuits end to end (decompose -> structure ->
 synthesise), records per-circuit wall-clock and decomposition quality metrics,
 and writes a ``BENCH_*.json`` file that later runs can be compared against::
 
-    PYTHONPATH=src python benchmarks/run_bench.py --out benchmarks/BENCH_hotpaths.json
-    PYTHONPATH=src python benchmarks/run_bench.py --compare benchmarks/BENCH_baseline.json
+    PYTHONPATH=src python benchmarks/run_bench.py --out benchmarks/BENCH_native.json
+    PYTHONPATH=src python benchmarks/run_bench.py --compare benchmarks/BENCH_native.json
 
 Two width settings are provided (see ``benchmarks/README.md``):
 
@@ -21,7 +21,9 @@ Two width settings are provided (see ``benchmarks/README.md``):
 failure: a wall-clock regression of more than ``--tolerance`` (default 20%)
 on any circuit or on the total, and any change in the decomposition results
 (literal counts, block/level structure, or a failed ``Decomposition.verify``)
-— the fast paths must be observationally identical, not just fast.
+— the fast paths must be observationally identical, not just fast.  The
+baseline is read and mode-checked before any circuit runs: an unreadable
+baseline, or one recorded in another mode, exits 2 at once.
 """
 
 from __future__ import annotations
@@ -235,6 +237,40 @@ def compare(current: Dict[str, object], baseline: Dict[str, object], tolerance: 
     return 0
 
 
+def load_baseline(path: str, mode: str) -> Dict[str, object] | None:
+    """Read a ``--compare`` baseline and check it was recorded in ``mode``.
+
+    Runs before any circuit does, so a typo'd path or a quick/full mismatch
+    costs nothing.  On failure prints one line naming ``path`` and returns
+    ``None`` (the caller exits 2, distinct from a regression's 1).
+    """
+    try:
+        with open(path) as handle:
+            baseline = json.load(handle)
+    except (OSError, ValueError) as error:
+        reason = getattr(error, "strerror", None) or error
+        print(f"cannot read baseline {path}: {reason}", file=sys.stderr)
+        return None
+    if not isinstance(baseline, dict):
+        print(f"cannot read baseline {path}: not a benchmark record", file=sys.stderr)
+        return None
+    base_mode = baseline.get("mode", "quick")
+    if base_mode != mode:
+        reason = (
+            "orchestrated timings (fork + cache + worker) are not comparable "
+            "to sequential ones"
+            if ("orchestrated" in mode) != ("orchestrated" in base_mode)
+            else "the two runs use different circuit widths"
+        )
+        print(
+            f"cannot compare a {mode!r} run against {path}, a {base_mode!r} "
+            f"baseline: {reason} — record a baseline in the same mode.",
+            file=sys.stderr,
+        )
+        return None
+    return baseline
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="write the results to this JSON file")
@@ -262,10 +298,15 @@ def main(argv=None) -> int:
                              "JSON record; sequential mode only)")
     args = parser.parse_args(argv)
 
-    library = default_library()
     selected = args.rows if args.rows else list(CIRCUITS)
-    mode = "full" if args.full else "quick"
     orchestrated = args.jobs is not None or args.cache is not None
+    mode = ("full" if args.full else "quick") + ("-orchestrated" if orchestrated else "")
+    baseline = None
+    if args.compare:
+        baseline = load_baseline(args.compare, mode)
+        if baseline is None:
+            return 2
+    library = default_library()
     widths = {
         name: (CIRCUITS[name][2] if args.full else CIRCUITS[name][1])
         for name in selected
@@ -279,7 +320,6 @@ def main(argv=None) -> int:
                   "(pass timings live in the worker processes)")
         repeats = 1
         results = bench_orchestrated(selected, widths, args.jobs, args.cache, library)
-        mode += "-orchestrated"
     else:
         repeats = args.repeats if args.repeats is not None else 3
         results = {
@@ -316,22 +356,7 @@ def main(argv=None) -> int:
             handle.write("\n")
         print(f"wrote {args.out}")
 
-    if args.compare:
-        with open(args.compare) as handle:
-            baseline = json.load(handle)
-        base_mode = baseline.get("mode", "quick")
-        if base_mode != mode:
-            reason = (
-                "orchestrated timings (fork + cache + worker) are not comparable "
-                "to sequential ones"
-                if ("orchestrated" in mode) != ("orchestrated" in base_mode)
-                else "the two runs use different circuit widths"
-            )
-            print(
-                f"\ncannot compare a {mode!r} run against a {base_mode!r} baseline: "
-                f"{reason} — record a baseline in the same mode."
-            )
-            return 2
+    if baseline is not None:
         print(f"\ncomparing against {args.compare} (tolerance {args.tolerance:.0%}):")
         return compare(record, baseline, args.tolerance)
     return 0

@@ -16,16 +16,9 @@ from typing import Callable, Dict, List, Mapping, Sequence
 
 from ..anf.context import Context
 from ..anf.expression import Anf
-from ..parallel import shard_chunks, shard_map, shard_workers
 from .basis import combine_with_tags
 
 MAX_EXHAUSTIVE_CANDIDATES = 300
-
-#: Combined-expression size above which the exhaustive scoring stays serial
-#: even with ``REPRO_SHARD_PASSES`` set: every shard chunk ships its own
-#: copy of the term list through the pool pipes, so for giant expressions
-#: the IPC would dwarf the scoring work it parallelises.
-SHARD_SCORE_MAX_TERMS = 1 << 20
 
 
 def support_of_outputs(outputs: Mapping[str, Anf], ctx: Context) -> List[str]:
@@ -133,26 +126,25 @@ def _score_combined(terms: Sequence[int], group_mask: int) -> int:
     return total
 
 
-def _score_chunk(payload: tuple) -> List[int]:
-    """Score one run of candidate group masks (module-level: shard-picklable)."""
-    terms, masks = payload
-    return [_score_combined(terms, mask) for mask in masks]
-
-
 def _cooccur_counts(
-    payload: tuple,
+    outputs: Mapping[str, Anf], candidates: Sequence[str], ctx: Context
 ) -> tuple[Dict[str, int], Dict[tuple[str, str], int]]:
-    """Occurrence/co-occurrence counts over a run of output term lists.
+    """Occurrence and pairwise co-occurrence counts of ``candidates``.
 
-    Module-level so pass sharding can pickle it; the payload carries plain
-    integers and names, never ``Anf``/``Context`` objects.  Terms are walked
-    in sorted order so tie-breaks are canonical regardless of storage.
+    ``occurrence`` is seeded in candidate order, which is the order ``max``
+    breaks its ties in.  Terms are walked in sorted order so the
+    co-occurrence tie-breaks are canonical regardless of storage.
     """
-    term_lists, candidate_mask, name_of_bit = payload
-    occurrence: Dict[str, int] = {}
+    candidate_mask = 0
+    name_of_bit: Dict[int, str] = {}
+    for name in candidates:
+        bit = 1 << ctx.index(name)
+        candidate_mask |= bit
+        name_of_bit[bit] = name
+    occurrence: Dict[str, int] = {name: 0 for name in candidates}
     cooccur: Dict[tuple[str, str], int] = {}
-    for terms in term_lists:
-        for term in sorted(terms):
+    for expr in outputs.values():
+        for term in sorted(expr.term_list()):
             present_mask = term & candidate_mask
             if not present_mask:
                 continue
@@ -164,7 +156,7 @@ def _cooccur_counts(
                 present.append(name_of_bit[bit])
                 present_mask ^= bit
             for name in present:
-                occurrence[name] = occurrence.get(name, 0) + 1
+                occurrence[name] += 1
             for left, right in combinations(present, 2):
                 cooccur[(left, right)] = cooccur.get((left, right), 0) + 1
     return occurrence, cooccur
@@ -172,31 +164,7 @@ def _cooccur_counts(
 
 def _cooccurrence_group(outputs: Mapping[str, Anf], candidates: Sequence[str], ctx: Context, k: int) -> List[str]:
     """Greedy group construction by monomial co-occurrence."""
-    candidate_mask = 0
-    name_of_bit: Dict[int, str] = {}
-    for name in candidates:
-        bit = 1 << ctx.index(name)
-        candidate_mask |= bit
-        name_of_bit[bit] = name
-    # The per-output counts are independent and sum commutatively, so they
-    # shard over the pass pool (REPRO_SHARD_PASSES=1) without changing any
-    # result; the serial default runs the same code on one chunk.
-    term_lists = [expr.term_list() for expr in outputs.values()]
-    workers = shard_workers() or 1
-    if sum(len(terms) for terms in term_lists) > SHARD_SCORE_MAX_TERMS:
-        workers = 1  # shipping the terms would dwarf the counting work
-    chunks = shard_chunks(term_lists, workers)
-    partials = shard_map(
-        _cooccur_counts,
-        [(chunk, candidate_mask, name_of_bit) for chunk in chunks],
-    )
-    cooccur: Dict[tuple[str, str], int] = {}
-    occurrence: Dict[str, int] = {name: 0 for name in candidates}
-    for partial_occurrence, partial_cooccur in partials:
-        for name, count in partial_occurrence.items():
-            occurrence[name] += count
-        for pair, count in partial_cooccur.items():
-            cooccur[pair] = cooccur.get(pair, 0) + count
+    occurrence, cooccur = _cooccur_counts(outputs, candidates, ctx)
     if not candidates:
         return []
     # Seed with the most co-occurring pair (or the most frequent variable).
@@ -257,31 +225,16 @@ def find_group(
     if comb(len(candidates), size) <= MAX_EXHAUSTIVE_CANDIDATES:
         # One shared term-matrix view of the combined expression scores every
         # candidate subset; the packed backend builds it word-parallel (tag
-        # OR + concatenation) instead of symbolic products per call.  The
-        # per-subset scores are independent, so they shard over the pass pool
-        # (REPRO_SHARD_PASSES=1); picking the first minimum in enumeration
-        # order keeps the choice bit-identical to the serial scan.
+        # OR + concatenation) instead of symbolic products per call.  ``min``
+        # keeps the first minimum in enumeration order.
         if tagged_combination is not None:
             combined, _ = tagged_combination()
         else:
             combined, _ = combine_with_tags(outputs, ctx)
         combined_terms = combined.term_list()
-        subsets = list(combinations(candidates, size))
-        masks = [ctx.mask_of(subset) for subset in subsets]
-        workers = shard_workers() or 1
-        if len(combined_terms) > SHARD_SCORE_MAX_TERMS:
-            workers = 1
-        chunks = shard_chunks(masks, workers)
-        scores: List[int] = []
-        for chunk_scores in shard_map(
-            _score_chunk, [(combined_terms, chunk) for chunk in chunks]
-        ):
-            scores.extend(chunk_scores)
-        best_group: List[str] | None = None
-        best_score = None
-        for subset, score in zip(subsets, scores):
-            if best_score is None or score < best_score:
-                best_score = score
-                best_group = list(subset)
-        return best_group or candidates[:size]
+        best_group = min(
+            combinations(candidates, size),
+            key=lambda subset: _score_combined(combined_terms, ctx.mask_of(subset)),
+        )
+        return list(best_group) or candidates[:size]
     return _cooccurrence_group(outputs, candidates, ctx, size)

@@ -16,17 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..anf.bitset import kernel_for_exprs
 from ..anf.context import Context
 from ..anf.expression import Anf
-from ..parallel import shard_chunks, shard_map, shard_workers
-
-#: Minimum number of candidate tests before a scan fans out over the
-#: ``REPRO_SHARD_PASSES`` pool — below this the per-chunk pickling costs
-#: more than the big-int tests it parallelises.
-SHARD_MIN_IDENTITY_TESTS = 512
 
 
 @dataclass(frozen=True)
@@ -45,79 +39,6 @@ class IdentityAnalysis:
     identities: List[Identity]
     replacements: Dict[str, Anf]  # removed variable name -> expression over kept names
     kept: List[str]               # basis variable names that remain
-
-
-def _identity_scan(payload: tuple) -> list:
-    """Evaluate one run of candidate identity tests (module-level: picklable).
-
-    The payload ships plain integers only — truth bitsets, support masks and
-    index tuples — never ``Anf``/``Context`` objects.  Modes returning hit
-    positions keep them in chunk order, so concatenating the per-chunk
-    results reproduces the serial scan's emission order exactly.
-    """
-    mode, data, chunk = payload
-    if mode == "pair":
-        truths, supports, nonzero = data
-        hits = []
-        for position, (i, j) in enumerate(chunk):
-            if supports[i] & supports[j] == 0:
-                # Nonzero factors over disjoint supports multiply to a
-                # nonzero product, so only a zero factor can annihilate.
-                if not (nonzero[i] and nonzero[j]):
-                    hits.append(position)
-            elif truths[i] & truths[j] == 0:
-                hits.append(position)
-        return hits
-    if mode == "triple":
-        truths, supports, nonzero = data
-        hits = []
-        for position, (i, j, k) in enumerate(chunk):
-            if (
-                nonzero[i] and nonzero[j] and nonzero[k]
-                and supports[i] & supports[j] == 0
-                and (supports[i] | supports[j]) & supports[k] == 0
-            ):
-                continue  # pairwise-disjoint nonzero factors: product nonzero
-            if truths[i] & truths[j] & truths[k] == 0:
-                hits.append(position)
-        return hits
-    if mode == "xor3":
-        (truths,) = data
-        return [
-            position
-            for position, (i, j, k) in enumerate(chunk)
-            if truths[i] ^ truths[j] ^ truths[k] == 0
-        ]
-    if mode == "product":
-        (truths,) = data
-        return [truths[j] & truths[k] for j, k in chunk]
-    raise ValueError(f"unknown identity scan mode {mode!r}")
-
-
-def _sharded_scan(mode: str, data: tuple, items: List[tuple]) -> list:
-    """Run ``_identity_scan`` over ``items``, fanned across the shard pool.
-
-    Results concatenate in chunk order (hit positions are rebased to the
-    full item list), so the output is bit-identical to the serial scan —
-    which is literally this code run on a single chunk (and is called
-    directly, with no chunk bookkeeping, when the pool is off or the scan
-    is too small to be worth shipping).
-    """
-    workers = shard_workers() or 1
-    if workers <= 1 or len(items) < SHARD_MIN_IDENTITY_TESTS:
-        return _identity_scan((mode, data, items))
-    chunks = shard_chunks(items, workers)
-    merged: list = []
-    offset = 0
-    for chunk, result in zip(
-        chunks, shard_map(_identity_scan, [(mode, data, chunk) for chunk in chunks])
-    ):
-        if mode == "product":
-            merged.extend(result)
-        else:
-            merged.extend(offset + position for position in result)
-        offset += len(chunk)
-    return merged
 
 
 def find_identities(
@@ -158,61 +79,36 @@ def find_identities(
         return (definitions[i] & definitions[j]).is_zero
 
     # --- product identities: s_i · s_j (· s_k) = 0 ------------------------
-    # The per-candidate scans below are independent big-int tests, so with
-    # truth bitsets available they fan out over the ``REPRO_SHARD_PASSES``
-    # pool (payloads ship plain integers); the serial default runs the same
-    # scanner on one chunk, and hit positions come back in enumeration
-    # order, so both modes emit bit-identical identity streams.
     zero_pairs: set[tuple[int, int]] = set()
-    pair_candidates = list(combinations(range(n), 2))
-    if truths is not None:
-        pair_hits: List[Tuple[int, int]] = [
-            pair_candidates[position]
-            for position in _sharded_scan(
-                "pair", (truths, supports, nonzero), pair_candidates
-            )
-        ]
-    else:
-        pair_hits = [pair for pair in pair_candidates if pair_product_is_zero(*pair)]
-    for i, j in pair_hits:
+    for i, j in combinations(range(n), 2):
+        if not pair_product_is_zero(i, j):
+            continue
         zero_pairs.add((i, j))
         identities.append(
             Identity(var(i) & var(j), "product", f"{names[i]}*{names[j]} = 0")
         )
     if max_products >= 3:
-        triple_candidates = [
-            (i, j, k)
-            for i, j, k in combinations(range(n), 3)
-            if (i, j) not in zero_pairs
-            and (i, k) not in zero_pairs
-            and (j, k) not in zero_pairs
-        ]
-        if truths is not None:
-            triple_hits = [
-                triple_candidates[position]
-                for position in _sharded_scan(
-                    "triple", (truths, supports, nonzero), triple_candidates
+        for i, j, k in combinations(range(n), 3):
+            if (i, j) in zero_pairs or (i, k) in zero_pairs or (j, k) in zero_pairs:
+                continue
+            if (
+                nonzero[i] and nonzero[j] and nonzero[k]
+                and supports[i] & supports[j] == 0
+                and (supports[i] | supports[j]) & supports[k] == 0
+            ):
+                continue  # pairwise-disjoint nonzero factors: product nonzero
+            if truths is not None:
+                is_zero = truths[i] & truths[j] & truths[k] == 0
+            else:
+                is_zero = (definitions[i] & definitions[j] & definitions[k]).is_zero
+            if is_zero:
+                identities.append(
+                    Identity(
+                        var(i) & var(j) & var(k),
+                        "product",
+                        f"{names[i]}*{names[j]}*{names[k]} = 0",
+                    )
                 )
-            ]
-        else:
-            triple_hits = []
-            for i, j, k in triple_candidates:
-                if (
-                    nonzero[i] and nonzero[j] and nonzero[k]
-                    and supports[i] & supports[j] == 0
-                    and (supports[i] | supports[j]) & supports[k] == 0
-                ):
-                    continue  # pairwise-disjoint nonzero factors: product nonzero
-                if (definitions[i] & definitions[j] & definitions[k]).is_zero:
-                    triple_hits.append((i, j, k))
-        for i, j, k in triple_hits:
-            identities.append(
-                Identity(
-                    var(i) & var(j) & var(k),
-                    "product",
-                    f"{names[i]}*{names[j]}*{names[k]} = 0",
-                )
-            )
 
     # --- XOR identities: s_i ⊕ s_j ⊕ s_k = 0 ------------------------------
     for i, j in combinations(range(n), 2):
@@ -221,32 +117,23 @@ def find_identities(
                 Identity(var(i) ^ var(j), "definition", f"{names[i]} = {names[j]}")
             )
     lengths = [expr.num_terms for expr in definitions]
-    # A zero XOR needs every monomial to cancel, so the term counts must
-    # have an even sum — a cheap filter before any set (or sharded) work.
-    xor_candidates = [
-        (i, j, k)
-        for i, j, k in combinations(range(n), 3)
-        if (lengths[i] + lengths[j] + lengths[k]) & 1 == 0
-    ]
-    if truths is not None:
-        xor_hits = [
-            xor_candidates[position]
-            for position in _sharded_scan("xor3", (truths,), xor_candidates)
-        ]
-    else:
-        xor_hits = [
-            (i, j, k)
-            for i, j, k in xor_candidates
-            if (definitions[i] ^ definitions[j] ^ definitions[k]).is_zero
-        ]
-    for i, j, k in xor_hits:
-        identities.append(
-            Identity(
-                var(i) ^ var(j) ^ var(k),
-                "definition",
-                f"{names[i]} = {names[j]} ^ {names[k]}",
+    for i, j, k in combinations(range(n), 3):
+        # A zero XOR needs every monomial to cancel, so the term counts must
+        # have an even sum — a cheap filter before any set work.
+        if (lengths[i] + lengths[j] + lengths[k]) & 1:
+            continue
+        if truths is not None:
+            is_zero = truths[i] ^ truths[j] ^ truths[k] == 0
+        else:
+            is_zero = (definitions[i] ^ definitions[j] ^ definitions[k]).is_zero
+        if is_zero:
+            identities.append(
+                Identity(
+                    var(i) ^ var(j) ^ var(k),
+                    "definition",
+                    f"{names[i]} = {names[j]} ^ {names[k]}",
+                )
             )
-        )
 
     # --- definitional identities: s_i = s_j · s_k --------------------------
     # The product s_j·s_k is hoisted out of the s_i scan (the seed recomputed
@@ -257,10 +144,8 @@ def find_identities(
         index_of_truth: Dict[int, List[int]] = {}
         for i, value in enumerate(truths):
             index_of_truth.setdefault(value, []).append(i)
-        product_candidates = list(combinations(range(n), 2))
-        products = _sharded_scan("product", (truths,), product_candidates)
-        for (j, k), product in zip(product_candidates, products):
-            for i in index_of_truth.get(product, ()):
+        for j, k in combinations(range(n), 2):
+            for i in index_of_truth.get(truths[j] & truths[k], ()):
                 if i not in (j, k):
                     matches.append((i, j, k))
     else:

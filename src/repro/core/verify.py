@@ -185,80 +185,6 @@ def semantically_equal(left: Anf, right: Anf) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Sharded per-port verification (REPRO_SHARD_PASSES)
-# ----------------------------------------------------------------------
-#: Payload for forked verification workers.  Set immediately before the pool
-#: forks and cleared right after: workers inherit the decomposition via
-#: copy-on-write instead of pickling the (potentially huge) hierarchy per
-#: task.
-_FORK_DECOMPOSITION: Optional["Decomposition"] = None
-
-
-def _verify_chunk(ports: List[str]) -> List[bool]:
-    """Worker: expand and check a contiguous run of ports.
-
-    Each chunk carries its own per-pattern product memo, so the memoised
-    per-node expansions are shared across every port *within* the chunk —
-    the same reuse the serial generator gets across all ports.
-    """
-    decomposition = _FORK_DECOMPOSITION
-    product_memo: Dict[int, Anf] = {}
-    reference_flatten: Optional[Dict[str, Anf]] = None
-    verdicts: List[bool] = []
-    for port in ports:
-        flattened = flatten_port_via_dag(
-            decomposition, decomposition.outputs[port], product_memo
-        )
-        if flattened is None:
-            if reference_flatten is None:
-                reference_flatten = decomposition.flatten()
-            flattened = reference_flatten[port]
-        verdicts.append(
-            semantically_equal(flattened, decomposition.original[port])
-        )
-    return verdicts
-
-
-def _sharded_port_verdicts(
-    decomposition: "Decomposition",
-) -> Optional[List[tuple[str, bool]]]:
-    """Per-port verdicts fanned over the pass-shard pool, or ``None``.
-
-    ``None`` means "use the serial path": sharding disabled, a single port,
-    or no fork start method (the workers rely on copy-on-write inheritance
-    of the decomposition).  Each verdict is the same boolean the serial
-    expansion computes, so enabling sharding can never change an outcome —
-    only the short-circuit on the first mismatch is traded for parallelism.
-    """
-    import multiprocessing
-
-    from ..parallel import pool_context, shard_chunks, shard_workers
-
-    workers = shard_workers()
-    ports = list(decomposition.original)
-    if (
-        workers is None
-        or workers <= 1
-        or len(ports) <= 1
-        or "fork" not in multiprocessing.get_all_start_methods()
-    ):
-        return None
-    global _FORK_DECOMPOSITION
-    chunks = shard_chunks(ports, workers)
-    _FORK_DECOMPOSITION = decomposition
-    try:
-        with pool_context().Pool(min(workers, len(chunks))) as pool:
-            results = pool.map(_verify_chunk, chunks)
-    finally:
-        _FORK_DECOMPOSITION = None
-    return [
-        (port, verdict)
-        for chunk, chunk_verdicts in zip(chunks, results)
-        for port, verdict in zip(chunk, chunk_verdicts)
-    ]
-
-
-# ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
 def _expanded_ports(
@@ -292,9 +218,6 @@ def verify_decomposition(decomposition: "Decomposition") -> bool:
     engine's pass-timing collectors under ``"verify"``.
     """
     with _timed("verify"):
-        sharded = _sharded_port_verdicts(decomposition)
-        if sharded is not None:
-            return all(verdict for _, verdict in sharded)
         return all(
             semantically_equal(flattened, reference)
             for _, flattened, reference in _expanded_ports(decomposition)
@@ -304,9 +227,6 @@ def verify_decomposition(decomposition: "Decomposition") -> bool:
 def verify_ports(decomposition: "Decomposition") -> Dict[str, bool]:
     """Per-port verdicts (no short-circuit) for diagnostics and reports."""
     with _timed("verify"):
-        sharded = _sharded_port_verdicts(decomposition)
-        if sharded is not None:
-            return dict(sharded)
         return {
             port: semantically_equal(flattened, reference)
             for port, flattened, reference in _expanded_ports(decomposition)

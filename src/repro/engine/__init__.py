@@ -20,8 +20,6 @@ from .batch import (
     job_fingerprint,
     map_parallel,
     run_job,
-    shard_map,
-    shard_workers,
 )
 from .cache import (
     CacheTelemetry,
@@ -91,8 +89,6 @@ __all__ = [
     "netlist_digest",
     "run_job",
     "serialize_decomposition",
-    "shard_map",
-    "shard_workers",
     "spec_shape",
     "synthesis_cache_key",
 ]

@@ -15,7 +15,12 @@ front door:
   ``multiprocessing`` pool, with every worker sharing the same cache
   directory (writes are atomic, no locking needed);
 * :func:`map_parallel` — a generic fan-out helper for non-decomposition work
-  (used by the online scanner's width sweeps).
+  (used by the online scanner's width sweeps);
+* :func:`mark_pool_worker` / :func:`pool_context` — the worker-pool
+  plumbing shared with the HTTP front-end's worker pool.
+
+Parallelism exists only at this whole-job level: one decomposition always
+runs serially in one process.
 
 Jobs carry a *spec builder* (an importable callable plus arguments) rather
 than built expressions: ``Anf``/``Context`` objects are cheap to rebuild and
@@ -28,8 +33,11 @@ identity).
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import multiprocessing
 import os
+import signal
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -37,19 +45,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-# Intra-decomposition pass sharding (REPRO_SHARD_PASSES) lives in
-# ``repro.parallel`` — a layer below ``repro.core`` so the core procedures
-# can use it without a core -> engine cycle; re-exported here because the
-# orchestrator is the engine's parallelism front door.
-from ..parallel import (  # noqa: F401  (re-exports)
-    SHARD_ENV,
-    in_pool_worker,
-    mark_pool_worker,
-    pool_context,
-    shard_chunks,
-    shard_map,
-    shard_workers,
-)
 from ..anf.canonical import canonical_spec_digest
 from ..anf.expression import Anf
 from ..core.decompose import Decomposition, DecompositionOptions
@@ -252,8 +247,59 @@ def _execute_job(payload: tuple) -> Tuple[str, _Shipped, float, bool]:
 
 
 # ----------------------------------------------------------------------
-# Generic parallel map
+# Worker pools
 # ----------------------------------------------------------------------
+#: True inside any worker process this package forked (set by the pool
+#: initializer).  ``multiprocessing.Pool`` workers are daemonic and already
+#: self-identify; ``concurrent.futures`` process workers (the orchestrator's
+#: and the service's) are not, so the flag is what keeps a job body already
+#: running in a worker from forking a second level of workers.
+_pool_worker = False
+
+
+def mark_pool_worker() -> None:
+    """Pool initializer: flag this process as a fork-pool worker.
+
+    Also detaches inherited signal plumbing: a forked worker shares the
+    parent's signal wakeup fd (asyncio's self-pipe) and Python-level
+    handlers, so a SIGTERM delivered to the *worker* (e.g. by
+    ``ProcessPoolExecutor`` tearing down a broken pool) would be echoed
+    into the parent's event loop as if the parent itself were signalled —
+    triggering a spurious graceful shutdown.  The worker must own its own
+    signal fate.
+
+    Everything inherited from the parent is also frozen out of the cyclic
+    collector: a full collection in a worker then walks only what its jobs
+    allocated, instead of stalling whichever job triggers it for the whole
+    inherited heap (modules, numpy, the service's state: several ms per
+    collection, against a few ms for a whole warm-hit job).
+    """
+    global _pool_worker
+    _pool_worker = True
+    gc.freeze()
+    try:
+        signal.set_wakeup_fd(-1)
+    except (ValueError, OSError):  # non-main thread or closed fd: nothing shared
+        pass
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            signal.signal(signum, signal.SIG_DFL)
+        except (ValueError, OSError):  # pragma: no cover - non-main thread
+            pass
+
+
+def in_pool_worker() -> bool:
+    """True in a process forked by any of this package's worker pools."""
+    return _pool_worker or multiprocessing.current_process().daemon
+
+
+def pool_context():
+    """The fork context where available (workers inherit nothing they need,
+    but fork is far cheaper than spawn for short-lived jobs)."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else None)
+
+
 def _pool_processes(requested: Optional[int], num_items: int) -> int:
     if requested is not None:
         return max(1, min(requested, num_items))

@@ -54,9 +54,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .. import faults
+from ..engine.batch import mark_pool_worker, pool_context
 from ..engine.cache import DecompositionCache, corrupt_record_count
 from ..engine.cost import estimate_cost
-from ..parallel import mark_pool_worker, pool_context
 from .admission import (
     ADMIT,
     CACHE_ONLY,

@@ -14,6 +14,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.anf import Anf, Context, kernel_for_exprs, kernel_for_support, truth_table
 from repro.benchcircuits import counter_spec, lzd_spec, majority_spec
@@ -26,7 +27,7 @@ from repro.core import (
     progressive_decomposition,
     rewrite_outputs,
 )
-from repro.core.grouping import score_group
+from repro.core.grouping import _cooccurrence_group, find_group, score_group
 from repro.core.pairs import Pair, PairList, initial_pairs, merge_equal_parts
 from repro.core.rewrite import extract_tag_component
 from repro.gf2 import GF2Matrix
@@ -332,6 +333,109 @@ def test_score_group_matches_pairlist_reference():
         names = [f"x{i}" for i in range(6)]
         group = rng.sample(names, rng.randrange(1, 4))
         assert score_group(outputs, group, ctx) == naive_score_group(outputs, group, ctx)
+
+
+def naive_cooccurrence_group(outputs, candidates, ctx, k):
+    """Greedy co-occurrence grouping, written from its definition.
+
+    Counts are over the walk of every output's terms (outputs in order,
+    terms ascending).  The seed is the pair found together in the most
+    terms, ties going to the pair met first in the walk, then to the lower
+    variable indices; with no pair it is the most frequent candidate, ties
+    going to the earliest.  Growth adds the candidate with the most
+    co-occurrences with the group plus its own occurrences, ties going to
+    the earliest candidate.
+    """
+    if not candidates:
+        return []
+    walk = [term for expr in outputs.values() for term in sorted(expr.terms)]
+
+    def together(*names):
+        mask = ctx.mask_of(names)
+        return sum(1 for term in walk if term & mask == mask)
+
+    def first_seen(pair):
+        mask = ctx.mask_of(pair)
+        return next(at for at, term in enumerate(walk) if term & mask == mask)
+
+    pairs = [
+        tuple(sorted(pair, key=ctx.index))
+        for pair in combinations(candidates, 2)
+        if together(*pair)
+    ]
+    if pairs:
+        seed = min(
+            pairs,
+            key=lambda pair: (
+                -together(*pair), first_seen(pair), ctx.index(pair[0]), ctx.index(pair[1])
+            ),
+        )
+        group = list(seed)
+    else:
+        group = [max(candidates, key=together)]
+    while len(group) < min(k, len(candidates)):
+        rest = [name for name in candidates if name not in group]
+        group.append(
+            max(
+                rest,
+                key=lambda name: together(name)
+                + sum(together(name, other) for other in group),
+            )
+        )
+    return group
+
+
+def naive_find_group(outputs, k, ctx):
+    """Derived-variable ``findGroup``: exhaustive scoring (first minimum in
+    enumeration order) when affordable, co-occurrence growth otherwise."""
+    from math import comb
+
+    from repro.core.grouping import MAX_EXHAUSTIVE_CANDIDATES
+
+    mask = 0
+    for expr in outputs.values():
+        mask |= expr.support_mask
+    candidates = list(ctx.names_of(mask))
+    if not candidates:
+        return []
+    size = min(k, len(candidates))
+    if comb(len(candidates), size) > MAX_EXHAUSTIVE_CANDIDATES:
+        return naive_cooccurrence_group(outputs, candidates, ctx, size)
+    return list(
+        min(
+            combinations(candidates, size),
+            key=lambda subset: naive_score_group(outputs, subset, ctx),
+        )
+    )
+
+
+grouping_outputs_strategy = st.lists(
+    st.lists(st.integers(min_value=0, max_value=(1 << 10) - 1), unique=True, max_size=20),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(outputs_terms=grouping_outputs_strategy, k=st.integers(min_value=2, max_value=5))
+@settings(max_examples=60, deadline=None)
+def test_cooccurrence_group_matches_naive_reference(outputs_terms, k):
+    ctx = fresh_ctx(10)
+    outputs = {f"o{i}": Anf(ctx, terms) for i, terms in enumerate(outputs_terms)}
+    candidates = [f"x{i}" for i in range(10)]
+    assert _cooccurrence_group(outputs, candidates, ctx, k) == naive_cooccurrence_group(
+        outputs, candidates, ctx, k
+    )
+
+
+@given(outputs_terms=grouping_outputs_strategy)
+@settings(max_examples=25, deadline=None)
+def test_exhaustive_find_group_matches_naive_reference(outputs_terms):
+    ctx = fresh_ctx(10)
+    outputs = {f"o{i}": Anf(ctx, terms) for i, terms in enumerate(outputs_terms)}
+    inputs = [f"x{i}" for i in range(10)]
+    # No primary inputs, so the group comes from the derived-variable stage;
+    # C(10, 4) = 210 subsets keeps every example on the exhaustive branch.
+    assert find_group(outputs, 4, ctx, [], [inputs]) == naive_find_group(outputs, 4, ctx)
 
 
 def naive_size_reduction(pair_list, max_rounds=200):

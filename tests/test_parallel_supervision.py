@@ -1,30 +1,21 @@
-"""Worker-supervision tests for the two process-pool layers.
+"""Worker-supervision tests for the batch orchestrator's process pool.
 
 The scenario under test is always the same: a pool worker dies hard
 (SIGKILL — an OOM kill or segfault, not an exception) while a map is in
-flight.  Before supervision, ``multiprocessing.Pool`` respawned the worker
-but never completed its lost task, so ``shard_map`` hung forever;
-``map_parallel`` raised an opaque pool error.  Both layers now detect the
-death and re-run the map serially in-process with a ``RuntimeWarning`` —
-and because every mapped function is pure, the fallback results are
-bit-identical to the healthy parallel path.
+flight.  ``map_parallel`` detects the death and re-runs the map serially
+in-process with a ``RuntimeWarning`` — and because every mapped function is
+pure, the fallback results are bit-identical to the healthy parallel path.
 """
 
 import gc
+import multiprocessing
 import os
 import signal
 
 import pytest
 
-from repro import parallel
-from repro.engine.batch import map_parallel
-from repro.parallel import (
-    _close_shard_pool,
-    in_pool_worker,
-    mark_pool_worker,
-    shard_map,
-    shard_workers,
-)
+from repro.engine import batch
+from repro.engine.batch import in_pool_worker, map_parallel, mark_pool_worker
 
 KILL_ITEM = 13
 
@@ -41,12 +32,13 @@ def _square_or_die(item):
     return item * item
 
 
-@pytest.fixture(autouse=True)
-def _fresh_pool(monkeypatch):
-    monkeypatch.delenv(parallel.SHARD_ENV, raising=False)
-    _close_shard_pool()
-    yield
-    _close_shard_pool()
+def _pid(_item):
+    return os.getpid()
+
+
+def _nested_map(_item):
+    """Report this worker's flag, its pid and the pids a nested map ran in."""
+    return in_pool_worker(), os.getpid(), map_parallel(_pid, range(3), processes=2)
 
 
 class TestPoolWorkerFlag:
@@ -54,7 +46,7 @@ class TestPoolWorkerFlag:
         assert in_pool_worker() is False
 
     def test_mark_pool_worker_sets_flag(self, monkeypatch):
-        monkeypatch.setattr(parallel, "_pool_worker", False)
+        monkeypatch.setattr(batch, "_pool_worker", False)
         try:
             mark_pool_worker()
             assert in_pool_worker() is True
@@ -62,30 +54,12 @@ class TestPoolWorkerFlag:
             assert gc.get_freeze_count() > 0
         finally:
             gc.unfreeze()
-        monkeypatch.setattr(parallel, "_pool_worker", False)
+        monkeypatch.setattr(batch, "_pool_worker", False)
 
-    def test_shard_workers_disabled_inside_pool_worker(self, monkeypatch):
-        monkeypatch.setenv(parallel.SHARD_ENV, "4")
-        assert shard_workers() == 4
-        monkeypatch.setattr(parallel, "_pool_worker", True)
-        assert shard_workers() is None
-
-
-class TestShardMapSupervision:
-    def test_healthy_map_matches_serial(self, monkeypatch):
-        monkeypatch.setenv(parallel.SHARD_ENV, "2")
-        items = list(range(20))
-        assert shard_map(_square, items) == [i * i for i in items]
-
-    def test_worker_death_falls_back_to_serial(self, monkeypatch):
-        monkeypatch.setenv(parallel.SHARD_ENV, "2")
-        items = list(range(20))
-        with pytest.warns(RuntimeWarning, match="pass-shard worker died"):
-            results = shard_map(_square_or_die, items)
-        assert results == [i * i for i in items]
-        # The broken pool was torn down; the next call builds a fresh one
-        # and works normally.
-        assert shard_map(_square, items) == [i * i for i in items]
+    def test_daemonic_process_is_a_pool_worker(self, monkeypatch):
+        # ``multiprocessing.Pool`` workers are daemonic and are never marked.
+        monkeypatch.setattr(multiprocessing.current_process(), "_config", {"daemon": True})
+        assert in_pool_worker() is True
 
 
 class TestMapParallelSupervision:
@@ -100,6 +74,14 @@ class TestMapParallelSupervision:
         assert results == [i * i for i in items]
 
     def test_inside_pool_worker_stays_serial(self, monkeypatch):
-        monkeypatch.setattr(parallel, "_pool_worker", True)
+        monkeypatch.setattr(batch, "_pool_worker", True)
         items = list(range(4))
         assert map_parallel(_square, items, processes=4) == [i * i for i in items]
+
+    def test_worker_runs_a_nested_map_in_process(self):
+        # A job body inside a real pool worker sees the flag, so its own
+        # map never forks a second level of workers.
+        for flagged, worker_pid, nested_pids in map_parallel(_nested_map, range(2), processes=2):
+            assert flagged is True
+            assert worker_pid != os.getpid()
+            assert nested_pids == [worker_pid] * 3

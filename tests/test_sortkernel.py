@@ -10,8 +10,7 @@ inputs:
 
 The construction kernels (``sort_terms``/``merge_disjoint``/``xor_merge``/
 ``parity_merge``/``product_rows``) are checked against brute-force multiset
-semantics, the vectorised monomial vocabulary against the dict indexer, and
-the sharded ``find_group`` paths against their serial twins.
+semantics, and the vectorised monomial vocabulary against the dict indexer.
 """
 
 import numpy as np
@@ -587,73 +586,3 @@ class TestMonomialVocabulary:
         v_narrow = vocabulary.vector_of(narrow)
         # XOR must cancel the shared monomial 5 exactly.
         assert (v_wide ^ v_narrow).bit_count() == 1
-
-
-class TestShardedGrouping:
-    """REPRO_SHARD_PASSES must never change a result, only where it runs."""
-
-    @given(outputs_terms=st.lists(st.lists(st.integers(min_value=0, max_value=(1 << 10) - 1),
-                                           unique=True, max_size=20), min_size=1, max_size=3))
-    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_find_group_parity(self, monkeypatch, outputs_terms):
-        from repro.core.grouping import find_group
-
-        ctx = Context([f"v{i}" for i in range(10)])
-        outputs = {f"o{i}": Anf(ctx, terms) for i, terms in enumerate(outputs_terms)}
-        inputs = [f"v{i}" for i in range(10)]
-        monkeypatch.delenv("REPRO_SHARD_PASSES", raising=False)
-        serial = find_group(outputs, 4, ctx, [], [inputs])
-        monkeypatch.setenv("REPRO_SHARD_PASSES", "2")
-        sharded = find_group(outputs, 4, ctx, [], [inputs])
-        assert serial == sharded
-
-    @given(outputs_terms=st.lists(st.lists(st.integers(min_value=0, max_value=(1 << 10) - 1),
-                                           unique=True, max_size=20), min_size=1, max_size=3))
-    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_cooccurrence_parity(self, monkeypatch, outputs_terms):
-        from repro.core.grouping import _cooccurrence_group
-
-        ctx = Context([f"v{i}" for i in range(10)])
-        outputs = {f"o{i}": Anf(ctx, terms) for i, terms in enumerate(outputs_terms)}
-        candidates = [f"v{i}" for i in range(10)]
-        monkeypatch.delenv("REPRO_SHARD_PASSES", raising=False)
-        serial = _cooccurrence_group(outputs, candidates, ctx, 4)
-        monkeypatch.setenv("REPRO_SHARD_PASSES", "2")
-        sharded = _cooccurrence_group(outputs, candidates, ctx, 4)
-        assert serial == sharded
-
-    def test_sharding_disabled_inside_daemonic_workers(self, monkeypatch):
-        import multiprocessing
-
-        from repro.engine.batch import shard_workers
-
-        monkeypatch.setenv("REPRO_SHARD_PASSES", "1")
-        assert shard_workers() is not None
-        monkeypatch.setattr(
-            multiprocessing.current_process(), "_config", {"daemon": True}
-        )
-        assert shard_workers() is None
-
-    def test_sharded_decomposition_is_bit_identical(self, monkeypatch):
-        from repro.anf import majority, variables
-        from repro.core import DecompositionOptions, progressive_decomposition
-
-        results = {}
-        for mode in (None, "2"):
-            ctx = Context()
-            bits = variables(ctx, [f"x{i}" for i in range(9)])
-            outputs = {"maj": majority(bits, ctx), "parity": xor_accumulate(bits, ctx)}
-            if mode is None:
-                monkeypatch.delenv("REPRO_SHARD_PASSES", raising=False)
-            else:
-                monkeypatch.setenv("REPRO_SHARD_PASSES", mode)
-            d = progressive_decomposition(
-                outputs, DecompositionOptions(), input_words=[[f"x{i}" for i in range(9)]]
-            )
-            assert d.verify()
-            results[mode] = (
-                [(b.name, sorted(b.definition.terms)) for b in d.blocks],
-                {p: sorted(e.terms) for p, e in d.outputs.items()},
-                [record.group for record in d.iterations],
-            )
-        assert results[None] == results["2"]

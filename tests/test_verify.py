@@ -3,14 +3,14 @@
 ``Decomposition.verify()`` (the DAG engine) must return exactly the verdict
 of ``Decomposition.verify(method="flatten")`` (the whole-spec re-expansion
 kept as the reference) — on valid decompositions, on deliberately corrupted
-ones, under both term backends, and with pass sharding on or off.  The
+ones, and under both term backends.  The
 level-substitution kernel itself is checked against ``Anf.substitute`` on
 arbitrary inputs, and the per-iteration rewrite gate (``REPRO_VERIFY_STEPS``)
 must accept every engine-produced step and reject a sabotaged one.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.anf import Anf, Context
 from repro.anf.backend import using_backend
@@ -33,7 +33,6 @@ from repro.engine import (
 )
 
 BACKENDS = ("set", "packed")
-SHARD_MODES = (None, "2")
 
 
 def _decompose(outputs_terms, num_vars=6, options=None):
@@ -87,19 +86,9 @@ class TestSubstituteBits:
 
 class TestVerdictParity:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("shard", SHARD_MODES, ids=["serial", "sharded"])
     @given(outputs_terms=terms_strategy)
-    @settings(
-        max_examples=25, deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    def test_valid_decompositions_verify_on_both_engines(
-        self, monkeypatch, backend, shard, outputs_terms
-    ):
-        if shard is None:
-            monkeypatch.delenv("REPRO_SHARD_PASSES", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_SHARD_PASSES", shard)
+    @settings(max_examples=25, deadline=None)
+    def test_valid_decompositions_verify_on_both_engines(self, backend, outputs_terms):
         with using_backend(backend):
             try:
                 decomposition = _decompose(outputs_terms)
