@@ -7,8 +7,9 @@ Kept because PEP 660 editable installs (``pip install -e .``) need the
 The one thing that *must* live here is the optional native kernel
 extension (``repro.anf._ckernel._impl``).  It is marked ``optional`` so a
 missing or broken C compiler downgrades the build to a warning: the wheel
-installs without the extension and :mod:`repro.anf.cnative` falls back to
-the numpy kernels at import time.  Build it in a source checkout with::
+installs without the extension, and every kernel in
+:mod:`repro.anf.sortkernel` runs its numpy body instead of its C primitive.
+Build it in a source checkout with::
 
     python setup.py build_ext --inplace
 """

@@ -5,9 +5,9 @@
  * vectors of ``TermMatrix``, or a writable ``bytearray``/numpy scratch slab)
  * and releases the GIL around its hot loop.  The Python-facing contracts —
  * what the inputs mean, when a kernel declines, and the exact result
- * semantics — live in ``repro.anf.cnative``,
- * which wraps this module and falls back to the numpy kernels in
- * ``repro.anf.sortkernel`` whenever it is missing.
+ * semantics — live in ``repro.anf.sortkernel``,
+ * whose kernels call this module when it is built (``repro.anf.cnative``
+ * holds the import guard) and run their numpy bodies otherwise.
  *
  * The headline kernel is ``split_radix``: the fused key-compress + bincount
  * + gather radix split that serves both ``split_runs_by_group`` and (via
@@ -523,7 +523,7 @@ static PyMethodDef ckernel_methods[] = {
 static struct PyModuleDef ckernel_module = {
     PyModuleDef_HEAD_INIT,
     "repro.anf._ckernel._impl",
-    "Cache-resident C kernels over contiguous uint64 row slabs (see repro.anf.cnative).",
+    "Cache-resident C kernels over contiguous uint64 row slabs (see repro.anf.sortkernel).",
     -1,
     ckernel_methods,
 };

@@ -15,25 +15,19 @@ representation-dependent kernels live here, behind one interface:
 :class:`PackedBackend` (``"packed"``, the default)
     Routes the kernels through :class:`~repro.anf.termmatrix.TermMatrix`:
     per-term scans become vectorised sweeps over one read-only numpy
-    ``uint64`` row vector per expression (:mod:`repro.anf.sortkernel`), and
-    the expressions flowing between pipeline stages stay matrix-backed so
-    frozensets are only materialised when a consumer genuinely needs set
-    semantics.
+    ``uint64`` row vector per expression (:mod:`repro.anf.sortkernel`, on
+    its C primitives when the extension is built), and the expressions
+    flowing between pipeline stages stay matrix-backed so frozensets are
+    only materialised when a consumer genuinely needs set semantics.
 
-:class:`NativeBackend` (``"native"``)
-    The packed representation with its whole-slab kernels running on the
-    compiled C extension (:mod:`repro.anf.cnative`), which reads and returns
-    the same row vectors.
-
-All backends compute the *same canonical term sets* for every kernel — the
+Both backends compute the *same canonical term sets* for every kernel — the
 parity test-suite runs the full engine under each and asserts bit-identical
-decompositions.  Select with :func:`set_backend`, the :func:`using_backend`
-context manager, or the ``REPRO_TERM_BACKEND`` environment variable.
+decompositions.  ``packed`` is active at import; :func:`set_backend` and
+the :func:`using_backend` context manager switch to ``set`` and back.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -43,9 +37,6 @@ from . import sortkernel
 from .context import Context
 from .expression import Anf
 from .termmatrix import TERM_LIMIT, TermMatrix, concat_sorted
-
-BACKEND_ENV = "REPRO_TERM_BACKEND"
-
 
 class SetBackend:
     """Reference kernels over plain frozensets (the seed implementation)."""
@@ -142,13 +133,6 @@ class SetBackend:
     # ------------------------------------------------------------------
     def prepare_outputs(self, outputs) -> None:
         """Hook run once per decomposition on the specification outputs."""
-
-    # ------------------------------------------------------------------
-    def activate(self) -> None:
-        """Hook run when this backend becomes the active one."""
-
-    def deactivate(self) -> None:
-        """Hook run when this backend stops being the active one."""
 
 
 class PackedBackend(SetBackend):
@@ -283,50 +267,12 @@ class PackedBackend(SetBackend):
             expr.term_matrix(build=True)
 
 
-class NativeBackend(PackedBackend):
-    """Packed kernels running on the compiled C extension (when built).
-
-    Installs :mod:`repro.anf.cnative` as :mod:`repro.anf.sortkernel`'s
-    kernel core, so every public whole-slab kernel runs its C twin — the
-    cache-resident C primitives, called directly and serially.
-
-    Without the compiled extension the same seam installs but every
-    primitive falls back to the numpy kernels — one :class:`RuntimeWarning`
-    says so at activation, and semantics are identical either way (the
-    three-backend parity suite asserts it).
-    """
-
-    name = "native"
-
-    def activate(self) -> None:
-        from . import cnative
-
-        cnative.warn_if_missing()
-        sortkernel.set_core(cnative)
-
-    def deactivate(self) -> None:
-        sortkernel.set_core(None)
-
-
 _BACKENDS: Dict[str, SetBackend] = {
     SetBackend.name: SetBackend(),
     PackedBackend.name: PackedBackend(),
-    NativeBackend.name: NativeBackend(),
 }
 
-
-def _initial_backend() -> SetBackend:
-    name = os.environ.get(BACKEND_ENV, PackedBackend.name)
-    if name not in _BACKENDS:
-        raise ValueError(
-            f"unknown term backend {name!r} from ${BACKEND_ENV} "
-            f"(expected one of: {', '.join(sorted(_BACKENDS))})"
-        )
-    return _BACKENDS[name]
-
-
-_active = _initial_backend()
-_active.activate()
+_active: SetBackend = _BACKENDS[PackedBackend.name]
 
 
 def get_backend() -> SetBackend:
@@ -335,19 +281,15 @@ def get_backend() -> SetBackend:
 
 
 def set_backend(name: str) -> SetBackend:
-    """Activate a backend by name (``"set"``, ``"packed"`` or ``"native"``)."""
+    """Activate a backend by name (``"set"`` or ``"packed"``)."""
     global _active
     try:
-        chosen = _BACKENDS[name]
+        _active = _BACKENDS[name]
     except KeyError:
         raise ValueError(
             f"unknown term backend {name!r} "
             f"(expected one of: {', '.join(sorted(_BACKENDS))})"
         ) from None
-    if chosen is not _active:
-        _active.deactivate()
-        _active = chosen
-        chosen.activate()
     return _active
 
 

@@ -48,63 +48,31 @@ are built, so slabs can be shared between matrices without copies.
 
 All kernels are exact and representation-transparent: they compute the same
 canonical term sets as the per-term reference loops, which the property
-tests in ``tests/test_sortkernel.py`` assert on arbitrary inputs.  Each
-kernel owns its small/large decision: below :data:`KERNEL_MIN_ROWS` rows
-the fixed numpy call overhead exceeds the per-term loop it replaces, so
-tiny inputs iterate ``words.tolist()`` (Python ints — ``np.uint64``
-arithmetic would raise on masks wider than a row) and only the result is
-packed.
+tests in ``tests/test_sortkernel.py`` assert on arbitrary inputs.
 
-The whole-slab kernels have one seam (:func:`set_core`): the ``native``
-backend installs :mod:`repro.anf.cnative` there, and every public kernel
-then runs that module's C-first twin instead of its numpy body.
+Each kernel has at most two bodies, and the platform picks between them:
+the compiled C primitive (:mod:`repro.anf._ckernel`) when the extension
+imported (:data:`_C`), the numpy body otherwise.  Both run at every input
+size, and they return the same rows bit for bit.  ``sort_terms``,
+``merge_disjoint``, ``support_fold`` and the whole-matrix rewrites have no
+C primitive, so only the numpy body.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
+from .cnative import _C
 
-def _env_int(name: str, default: int, minimum: int = 0) -> int:
-    """An integer tunable from the environment.
-
-    Malformed values keep the default and values below ``minimum`` are
-    clamped — in both cases with a :class:`RuntimeWarning` naming the
-    variable, so a typo'd tunable is visible instead of silently running
-    the wrong configuration (and never an import-time crash).
-    """
-    value = os.environ.get(name, "").strip()
-    if not value:
-        return default
-    try:
-        parsed = int(value)
-    except ValueError:
-        warnings.warn(
-            f"ignoring malformed ${name}={value!r} (expected an integer); "
-            f"using the default {default}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return default
-    if parsed < minimum:
-        warnings.warn(
-            f"${name}={parsed} is below the minimum {minimum}; clamping",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return minimum
-    return parsed
-
-
-#: Row count below which the per-term Python paths win (fixed numpy call
-#: overhead dominates); measured on the quick-width sweep.  Tunable via
-#: ``REPRO_KERNEL_MIN_ROWS`` (0 forces the vector kernels everywhere — the
-#: parity suite's forced-numpy mode).
-KERNEL_MIN_ROWS = _env_int("REPRO_KERNEL_MIN_ROWS", 1024)
+#: Not a kernel threshold — every kernel runs its vector body at every size.
+#: It decides two things outside this module: whether ``Anf.__and__``
+#: builds a matrix for its large operand and distributes the product over
+#: it (:func:`product_rows`), and the shortest row span the cache's record
+#: reader parses straight into a row vector (``engine/cache.py``).  Record
+#: bytes do not depend on it.
+KERNEL_MIN_ROWS = 1024
 
 #: Rows are 64-bit; masks are clipped to the row width before vectorising
 #: (a variable with index >= 64 cannot occur in any packable term, so
@@ -125,18 +93,6 @@ RADIX_MAX_GROUP_BITS = 6
 #: on the comparator's 16-bucket 14.3 M-row split).
 RADIX_ARGSORT_MIN_BUCKETS = 4
 
-#: The module whose kernels replace the numpy bodies below — ``None`` (numpy)
-#: or :mod:`repro.anf.cnative`, installed by the ``native`` backend.  The
-#: public kernels dispatch on it, so *every* caller — backends and
-#: module-level users such as ``xor_accumulate`` alike — runs the same core.
-_core = None
-
-
-def set_core(module) -> None:
-    """Install (or clear, with ``None``) the kernel core module."""
-    global _core
-    _core = module
-
 
 def _frozen(rows: _np.ndarray) -> _np.ndarray:
     """Seal a freshly built contiguous ``uint64`` row vector read-only."""
@@ -145,7 +101,7 @@ def _frozen(rows: _np.ndarray) -> _np.ndarray:
 
 
 def _rows_of(values: Sequence[int]) -> _np.ndarray:
-    """A read-only row vector from a list of Python ints (small-input paths)."""
+    """A read-only row vector from a list of Python ints (the oracles)."""
     return _frozen(_np.array(values, dtype=_np.uint64))
 
 
@@ -153,11 +109,16 @@ def _rows_of(values: Sequence[int]) -> _np.ndarray:
 EMPTY = _rows_of([])
 
 
+def _c_rows(raw) -> _np.ndarray:
+    """A C-produced ``bytearray`` of rows as a read-only vector (no copy)."""
+    return _frozen(_np.frombuffer(raw, dtype=_np.uint64))
+
+
 # ----------------------------------------------------------------------
 # Sort-and-slice kernels
 # ----------------------------------------------------------------------
 def split_runs_by_group(
-    words: _np.ndarray, group_mask: int
+    words: _np.ndarray, group_mask: int, or_mask: int = 0
 ) -> Tuple[List[Tuple[int, _np.ndarray]], _np.ndarray]:
     """Bucket a sorted row slab by the group part of every row.
 
@@ -166,81 +127,30 @@ def split_runs_by_group(
     strictly ascending, and ``remainder`` holds the rows containing no group
     variable.  Semantics match the per-term reference: each row ``t`` lands
     in bucket ``t & group_mask`` as ``t ^ (t & group_mask)``.  Buckets are
-    emitted in ascending ``group_part`` order.
+    emitted in ascending ``group_part`` order.  ``or_mask`` (the fused
+    path's tag bit) is ORed into every emitted row; it must be disjoint from
+    the slab's support and from ``group_mask``, so ORing it preserves the
+    ascending order of every bucket and of the remainder.
 
     Narrow masks (≤ :data:`RADIX_MAX_GROUP_BITS` bits — every real group)
-    take the O(n) counting/radix path; wide masks keep the stable
+    take the O(n) counting/radix path: the C ``split_radix`` when it is
+    built, :func:`_split_runs_radix` otherwise.  Wide masks keep the stable
     composite-key argsort, which is order-equivalent: both preserve the
     input (ascending) order within a bucket, so every slice is canonical.
     """
-    core = _core
-    if core is not None:
-        return core.split_runs_by_group(words, group_mask)
-    return _split_runs(words, group_mask)
-
-
-def split_build_by_group(
-    tagged_slabs: Sequence[Tuple[int, _np.ndarray]], group_mask: int
-) -> Tuple[List[Tuple[int, _np.ndarray]], _np.ndarray]:
-    """Fused tag-multiply + combine + split: the engine's ``findBasis`` feed.
-
-    ``tagged_slabs`` is a sequence of ``(tag_mask, rows)`` — one sorted slab
-    per output port plus the fresh tag bit that marks it.  The result equals
-    splitting ``merge_disjoint([rows_i | tag_i])`` by ``group_mask``, but is
-    computed in one pass per slab: each bucket row is emitted directly as
-    ``(row ^ group_part) | tag``, so the combined expression — the largest
-    allocation of the old pipeline — never materialises, and the per-bucket
-    cross-slab merges degenerate to boundary-checked concatenations (tags
-    are allocated in ascending order, so slab ``i``'s rows all sort below
-    slab ``i+1``'s once the tags are ORed in).
-
-    Preconditions (the backend seam checks them before calling): every tag
-    is a fresh single bit disjoint from its slab's support, from every other
-    tag, and from ``group_mask``.
-    """
-    core = _core
-    if core is not None:
-        return core.split_build_by_group(tagged_slabs, group_mask)
-    return _split_build(tagged_slabs, group_mask)
-
-
-def _split_build(
-    tagged_slabs: Sequence[Tuple[int, _np.ndarray]], group_mask: int, split=None
-) -> Tuple[List[Tuple[int, _np.ndarray]], _np.ndarray]:
-    """One tagged split per slab (``split`` defaults to :func:`_split_runs`),
-    then per-bucket disjoint merges."""
-    split = split or _split_runs
-    per_bucket: Dict[int, List[_np.ndarray]] = {}
-    rest_parts: List[_np.ndarray] = []
-    for tag, words in tagged_slabs:
-        if not len(words):
-            continue
-        buckets, rest = split(words, group_mask, or_mask=tag)
-        for part, rows in buckets:
-            pieces = per_bucket.get(part)
-            if pieces is None:
-                per_bucket[part] = pieces = []
-            pieces.append(rows)
-        if len(rest):
-            rest_parts.append(rest)
-    merged = [
-        (part, merge_disjoint(per_bucket[part])) for part in sorted(per_bucket)
-    ]
-    return merged, merge_disjoint(rest_parts)
-
-
-def _split_runs(
-    words: _np.ndarray, group_mask: int, or_mask: int = 0
-) -> Tuple[List[Tuple[int, _np.ndarray]], _np.ndarray]:
-    """The numpy split kernel; ``or_mask`` is ORed into every emitted row.
-
-    ``or_mask`` (the fused path's tag bit) must be disjoint from the slab's
-    support and from ``group_mask``, so ORing it preserves the ascending
-    order of every bucket and of the remainder.
-    """
-    if len(words) < KERNEL_MIN_ROWS:
-        return _split_runs_python(words.tolist(), group_mask, or_mask)
     mask = group_mask & ROW_MASK
+    if _C is not None:
+        result = _C.split_radix(words, mask, or_mask & ROW_MASK, RADIX_MAX_GROUP_BITS)
+        if result is not None:
+            parts, buckets, remainder = result
+            if not parts and not or_mask:
+                # No row carries a group bit and there is no tag to plant:
+                # the input slab *is* the remainder (no copy, as below).
+                return [], words
+            return (
+                [(part, _c_rows(rows)) for part, rows in zip(parts, buckets)],
+                _c_rows(remainder),
+            )
     bit_positions = _mask_bit_positions(mask)
     if 0 < len(bit_positions) <= RADIX_MAX_GROUP_BITS:
         return _split_runs_radix(words, bit_positions, or_mask)
@@ -265,6 +175,44 @@ def _split_runs(
         else:
             buckets.append((part, sorted_rest[lo:hi]))
     return buckets, remainder
+
+
+def split_build_by_group(
+    tagged_slabs: Sequence[Tuple[int, _np.ndarray]], group_mask: int
+) -> Tuple[List[Tuple[int, _np.ndarray]], _np.ndarray]:
+    """Fused tag-multiply + combine + split: the engine's ``findBasis`` feed.
+
+    ``tagged_slabs`` is a sequence of ``(tag_mask, rows)`` — one sorted slab
+    per output port plus the fresh tag bit that marks it.  The result equals
+    splitting ``merge_disjoint([rows_i | tag_i])`` by ``group_mask``, but is
+    computed in one pass per slab: each bucket row is emitted directly as
+    ``(row ^ group_part) | tag``, so the combined expression — the largest
+    allocation of the old pipeline — never materialises, and the per-bucket
+    cross-slab merges degenerate to boundary-checked concatenations (tags
+    are allocated in ascending order, so slab ``i``'s rows all sort below
+    slab ``i+1``'s once the tags are ORed in).
+
+    Preconditions (the backend seam checks them before calling): every tag
+    is a fresh single bit disjoint from its slab's support, from every other
+    tag, and from ``group_mask``.
+    """
+    per_bucket: Dict[int, List[_np.ndarray]] = {}
+    rest_parts: List[_np.ndarray] = []
+    for tag, words in tagged_slabs:
+        if not len(words):
+            continue
+        buckets, rest = split_runs_by_group(words, group_mask, or_mask=tag)
+        for part, rows in buckets:
+            pieces = per_bucket.get(part)
+            if pieces is None:
+                per_bucket[part] = pieces = []
+            pieces.append(rows)
+        if len(rest):
+            rest_parts.append(rest)
+    merged = [
+        (part, merge_disjoint(per_bucket[part])) for part in sorted(per_bucket)
+    ]
+    return merged, merge_disjoint(rest_parts)
 
 
 def _mask_bit_positions(mask: int) -> List[int]:
@@ -419,17 +367,10 @@ def scatter_tag(words: _np.ndarray, bit: int) -> _np.ndarray:
     Rows that all contain a common bit keep their relative order when it is
     cleared, so the selection is born sorted.
     """
-    core = _core
-    if core is not None:
-        return core.scatter_tag(words, bit)
-    return _scatter_tag(words, bit)
-
-
-def _scatter_tag(words: _np.ndarray, bit: int) -> _np.ndarray:
     if bit > ROW_MASK:
         return EMPTY
-    if len(words) < KERNEL_MIN_ROWS:
-        return _rows_of([t & ~bit for t in words.tolist() if t & bit])
+    if _C is not None:
+        return _c_rows(_C.scatter_tag(words, bit))
     b = _np.uint64(bit)
     return _frozen(words[(words & b) != 0] & ~b)
 
@@ -447,11 +388,6 @@ def sort_terms(terms: Iterable[int], count: Optional[int] = None) -> Optional[_n
     if count is None:
         terms = list(terms)
         count = len(terms)
-    if count < KERNEL_MIN_ROWS:
-        rows = sorted(terms)
-        if rows and rows[-1] > ROW_MASK:
-            return None
-        return _rows_of(rows)
     try:
         rows = _np.fromiter(terms, dtype=_np.uint64, count=count)
     except OverflowError:
@@ -482,8 +418,6 @@ def merge_disjoint(slabs: Sequence[_np.ndarray]) -> _np.ndarray:
     )
     merged = _np.concatenate(alive)
     if not ordered:
-        if len(merged) < KERNEL_MIN_ROWS:
-            return _rows_of(sorted(merged.tolist()))
         merged.sort(kind="stable")
     return _frozen(merged)
 
@@ -492,21 +426,15 @@ def xor_merge(left: _np.ndarray, right: _np.ndarray) -> _np.ndarray:
     """Symmetric difference of two sorted slabs of distinct rows.
 
     Each operand holds distinct rows, so a shared row occurs exactly twice in
-    the concatenation and the adjacent duplicates cancel.
+    the concatenation and the adjacent duplicates cancel (the C primitive
+    does the same with one two-pointer merge).
     """
-    core = _core
-    if core is not None:
-        return core.xor_merge(left, right)
-    return _xor_merge(left, right)
-
-
-def _xor_merge(left: _np.ndarray, right: _np.ndarray) -> _np.ndarray:
     if not len(left):
         return right
     if not len(right):
         return left
-    if len(left) + len(right) < KERNEL_MIN_ROWS:
-        return _xor_merge_python(left.tolist(), right.tolist())
+    if _C is not None:
+        return _c_rows(_C.xor_merge(left, right))
     merged = _np.concatenate((left, right))
     merged.sort(kind="stable")
     dup = merged[1:] == merged[:-1]
@@ -514,23 +442,6 @@ def _xor_merge(left: _np.ndarray, right: _np.ndarray) -> _np.ndarray:
     keep[1:] &= ~dup
     keep[:-1] &= ~dup
     return _frozen(merged[keep])
-
-
-def _xor_merge_python(left: Sequence[int], right: Sequence[int]) -> _np.ndarray:
-    merged = list(left)
-    merged.extend(right)
-    merged.sort()
-    out: List[int] = []
-    append = out.append
-    previous = -1
-    for row in merged:
-        if row == previous:
-            out.pop()
-            previous = -1
-        else:
-            append(row)
-            previous = row
-    return _rows_of(out)
 
 
 def parity_merge(slabs: Sequence[_np.ndarray]) -> _np.ndarray:
@@ -543,29 +454,28 @@ def parity_merge(slabs: Sequence[_np.ndarray]) -> _np.ndarray:
     or duplicate-free (product slabs ``rows | term`` are neither when the
     term overlaps the support), so even a single slab is swept.
     """
-    core = _core
-    if core is not None:
-        return core.parity_merge(slabs)
-    return _parity_merge(slabs)
-
-
-def _parity_merge(slabs: Sequence[_np.ndarray]) -> _np.ndarray:
     alive = [s for s in slabs if len(s)]
     if not alive:
         return EMPTY
-    total = sum(len(s) for s in alive)
-    if total < KERNEL_MIN_ROWS:
-        counts: Dict[int, int] = {}
-        for s in alive:
-            for row in s.tolist():
-                counts[row] = counts.get(row, 0) + 1
-        return _rows_of(sorted(r for r, c in counts.items() if c & 1))
     # A fresh (writable) copy even for one slab: the sweep sorts in place.
-    merged = _np.concatenate(alive)
     # Slabs from expressions are sorted runs — timsort ("stable") gallops
     # through them instead of re-partitioning from scratch.
-    merged.sort(kind="stable")
-    return _frozen(_odd_runs(merged))
+    return _frozen(_odd_rows(_np.concatenate(alive), kind="stable"))
+
+
+def _odd_rows(rows: _np.ndarray, kind: Optional[str] = None) -> _np.ndarray:
+    """Sort a fresh writable slab in place down to its odd-count rows.
+
+    The C ``sort_parity`` radix-sorts and compacts the survivors into the
+    prefix; the in-place resize then reallocates the buffer to them, so the
+    cancelled tail is freed instead of pinned behind a view.  The numpy body
+    sorts with ``kind`` and keeps the odd-length runs.
+    """
+    if _C is not None:
+        rows.resize(_C.sort_parity(rows), refcheck=False)
+        return rows
+    rows.sort(kind=kind)
+    return _odd_runs(rows)
 
 
 def _odd_runs(merged):
@@ -585,44 +495,32 @@ def product_rows(large: _np.ndarray, small_terms: Sequence[int]) -> _np.ndarray:
     — ``r1 | t1 == r2 | t2`` — whenever the factors overlap, so plain
     dedup is not enough).  A divide-and-conquer split bounds the transient
     slab memory for products where both operands are large; the halves are
-    themselves canonical, so they recombine with a run-friendly stable sort.
+    themselves canonical, so they recombine with one :func:`xor_merge`.
+    An empty operand on either side is the zero product.
     """
-    core = _core
-    if core is not None:
-        return core.product_rows(large, small_terms)
-    return _product_rows(large, small_terms)
-
-
-def _product_rows(large: _np.ndarray, small_terms: Sequence[int]) -> _np.ndarray:
-    if len(large) * len(small_terms) < KERNEL_MIN_ROWS:
-        counts: Dict[int, int] = {}
-        rows = large.tolist()
-        for term in small_terms:
-            for row in rows:
-                key = row | term
-                counts[key] = counts.get(key, 0) + 1
-        return _rows_of(sorted(r for r, c in counts.items() if c & 1))
-    return _frozen(_product_rows_rec(large, list(small_terms)))
+    terms = [term & ROW_MASK for term in small_terms]
+    if not terms or not len(large):
+        return EMPTY
+    return _frozen(_product_rows_rec(large, terms))
 
 
 #: Transient row budget of one product parity sweep (~128 MB of u64 rows).
 PRODUCT_SLAB_ROWS = 1 << 24
 
 
-def _product_rows_rec(rows, small_terms: List[int]):
-    if len(small_terms) * len(rows) <= PRODUCT_SLAB_ROWS or len(small_terms) <= 2:
-        slabs = [rows | _np.uint64(term & ROW_MASK) for term in small_terms]
-        merged = slabs[0] if len(slabs) == 1 else _np.concatenate(slabs)
+def _product_rows_rec(rows: _np.ndarray, terms: List[int]) -> _np.ndarray:
+    if len(terms) * len(rows) <= PRODUCT_SLAB_ROWS or len(terms) <= 2:
+        n = len(rows)
+        out = _np.empty(len(terms) * n, dtype=_np.uint64)
+        for i, term in enumerate(terms):
+            _np.bitwise_or(rows, _np.uint64(term), out=out[i * n : (i + 1) * n])
         # Product slabs are unsorted whenever a term overlaps the support;
         # introsort beats timsort on run-free data.
-        merged.sort()
-        return _odd_runs(merged)
-    mid = len(small_terms) // 2
-    left = _product_rows_rec(rows, small_terms[:mid])
-    right = _product_rows_rec(rows, small_terms[mid:])
-    merged = _np.concatenate((left, right))
-    merged.sort(kind="stable")  # two sorted runs: timsort gallops
-    return _odd_runs(merged)
+        return _odd_rows(out)
+    mid = len(terms) // 2
+    return xor_merge(
+        _product_rows_rec(rows, terms[:mid]), _product_rows_rec(rows, terms[mid:])
+    )
 
 
 # ----------------------------------------------------------------------
@@ -632,71 +530,48 @@ def or_into_all(words: _np.ndarray, mask: int) -> _np.ndarray:
     """``row | mask`` for every row; ascending whenever the mask is disjoint
     from the slab's support (the caller's precondition).  ``mask`` must fit
     a row."""
-    if len(words) < KERNEL_MIN_ROWS:
-        return _rows_of([t | mask for t in words.tolist()])
     return _frozen(words | _np.uint64(mask))
 
 
 def support_fold(words: _np.ndarray) -> int:
     """OR of every row in one vector pass."""
-    if len(words) < KERNEL_MIN_ROWS:
-        mask = 0
-        for term in words.tolist():
-            mask |= term
-        return mask
     return int(_np.bitwise_or.reduce(words))
 
 
 def shared_literal_count(left: _np.ndarray, right: _np.ndarray) -> int:
     """Total set bits over the rows present in both sorted slabs."""
-    core = _core
-    if core is not None:
-        return core.shared_literal_count(left, right)
-    return _shared_literal_count(left, right)
-
-
-def _shared_literal_count(left: _np.ndarray, right: _np.ndarray) -> int:
-    if min(len(left), len(right)) == 0 or len(left) + len(right) < KERNEL_MIN_ROWS:
-        shared = frozenset(left.tolist()) & frozenset(right.tolist())
-        return sum(row.bit_count() for row in shared)
+    if not len(left) or not len(right):
+        return 0
+    if _C is not None:
+        return _C.shared_literal_count(left, right)
     small, large = (left, right) if len(left) <= len(right) else (right, left)
     positions = _np.searchsorted(large, small)
     positions[positions == len(large)] = 0
     hits = large[positions] == small
-    return _popcount_rows(small[hits])
+    return popcount_rows(small[hits])
 
 
 def popcount_rows(words: _np.ndarray) -> int:
     """Total set bits over a row slab (the literal count of a matrix).
 
     One vectorised ``bitwise_count`` + sum on numpy >= 2.0; a single
-    big-integer popcount of the raw bytes otherwise (and below the kernel
-    floor, where it is the cheaper of the two).
+    big-integer popcount of the raw bytes on older numpy.
     """
-    core = _core
-    if core is not None:
-        return core.popcount_rows(words)
-    return _popcount_rows(words)
-
-
-def _popcount_rows(words: _np.ndarray) -> int:
-    if len(words) < KERNEL_MIN_ROWS or not hasattr(_np, "bitwise_count"):
-        return int.from_bytes(words.tobytes(), "little").bit_count()
-    return int(_np.bitwise_count(words).sum(dtype=_np.int64))
+    if _C is not None:
+        return _C.popcount_rows(words)
+    if hasattr(_np, "bitwise_count"):
+        return int(_np.bitwise_count(words).sum(dtype=_np.int64))
+    return int.from_bytes(words.tobytes(), "little").bit_count()
 
 
 def clear_bits_all(words: _np.ndarray, mask: int) -> _np.ndarray:
     """``row & ~mask`` for every row; ascending whenever every row contains
     all of ``mask`` (the caller's precondition — tag stripping)."""
-    if len(words) < KERNEL_MIN_ROWS:
-        return _rows_of([t & ~mask for t in words.tolist()])
     return _frozen(words & _np.uint64(~mask & ROW_MASK))
 
 
 def rows_contain_all(words: _np.ndarray, mask: int) -> bool:
     """True when every row contains every bit of ``mask`` (one vector pass).
     ``mask`` must fit a row."""
-    if len(words) < KERNEL_MIN_ROWS:
-        return all(t & mask == mask for t in words.tolist())
     m = _np.uint64(mask)
     return bool(((words & m) == m).all())

@@ -3,10 +3,9 @@
 A :class:`TermMatrix` stores every monomial bitmask of an expression as one
 row of a read-only, C-contiguous :mod:`numpy` ``uint64`` vector, kept in
 strictly ascending order.  That vector is the only packed spelling of a
-term set: every kernel in :mod:`repro.anf.sortkernel` (and its C twin in
-:mod:`repro.anf.cnative`) takes and returns it, the canonical digest and
-the cache read it in place, and read-only rows can be shared between
-matrices without copies.  Two derived values are cached on demand:
+term set: every kernel in :mod:`repro.anf.sortkernel` (numpy or C body)
+takes and returns it, the canonical digest and the cache read it in place,
+and read-only rows can be shared between matrices without copies.  Two derived values are cached on demand:
 
 ``key``
     The raw little-endian bytes of the rows.  Because rows are sorted and
@@ -18,8 +17,7 @@ matrices without copies.  Two derived values are cached on demand:
     The OR of every row.
 
 Whole-matrix queries and rewrites (literal count, ``| mask``, ``& ~mask``,
-containment) are single sortkernel calls; each kernel decides on its own
-whether a matrix is small enough for its per-term path.
+containment) are single sortkernel calls.
 
 Everything here is exact: a ``TermMatrix`` is just another spelling of the
 same canonical monomial set, so routing an operation through it can never

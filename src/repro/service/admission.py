@@ -78,7 +78,9 @@ _BROWNOUT_STATES = ("normal", "degraded", "cache_only")
 
 def _env_float(name: str, default: float, minimum: float) -> float:
     """A float tunable from the environment — warn-and-default on garbage,
-    warn-and-clamp below ``minimum`` (mirrors ``sortkernel._env_int``)."""
+    warn-and-clamp below ``minimum``, so a typo'd tunable is visible instead
+    of silently running the wrong configuration (and never an import-time
+    crash)."""
     value = os.environ.get(name, "").strip()
     if not value:
         return default

@@ -1,9 +1,13 @@
-"""Shared fixtures: session-scoped result caches for the bench suites.
+"""Shared fixtures: the kernel-body switch, and session-scoped result
+caches for the bench suites.
 
-The heavyweight sweeps (``test_full_width_sweep``, the Table 1 builds) used
-to run against throwaway per-test cache directories, so every nightly run —
-and every test touching the same circuit twice — re-derived warm results
-from scratch.  These fixtures give the whole pytest session one shared
+``kernel_mode`` runs a test once on the numpy bodies of the slab kernels and
+once on their C bodies (skipped where the extension is not built).
+
+For the bench suites: the heavyweight sweeps (``test_full_width_sweep``,
+the Table 1 builds) used to run against throwaway per-test cache
+directories, so every nightly run — and every test touching the same
+circuit twice — re-derived warm results from scratch.  The cache fixtures give the whole pytest session one shared
 cache root instead:
 
 * By default the root is a session ``tmp_path_factory`` directory: tests
@@ -19,6 +23,17 @@ import os
 from pathlib import Path
 
 import pytest
+
+
+@pytest.fixture(params=["numpy", "c"])
+def kernel_mode(request, monkeypatch):
+    """Run the test on the numpy bodies, then on the C bodies."""
+    from repro.anf import cnative, sortkernel
+
+    if request.param == "c" and not cnative.available():
+        pytest.skip("C extension not built")
+    monkeypatch.setattr(sortkernel, "_C", cnative._C if request.param == "c" else None)
+    return request.param
 
 
 @pytest.fixture(scope="session")

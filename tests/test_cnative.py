@@ -1,18 +1,17 @@
-"""Property tests for the compiled kernel extension and its wrapper.
+"""Property tests for the compiled kernel extension and the kernels' C bodies.
 
-Two layers are under test:
+Three layers are under test:
 
 * ``repro.anf._ckernel._impl`` — the raw C primitives, checked against
   brute-force multiset semantics on arbitrary inputs (including the
   decline rules: empty masks, masks wider than the radix bound);
-* ``repro.anf.cnative`` — the seam wrapper, checked for bit-identity with
-  the sortkernel numpy kernels it shadows, for the no-copy guarantee on
-  groupless slabs, and for the graceful no-extension degrade (numpy path
-  plus a one-time warning when the ``native`` backend activates without
-  the compiled module).
+* the C bodies of the ``repro.anf.sortkernel`` kernels, checked for
+  bit-identity with their numpy bodies, for the no-copy guarantee on
+  groupless slabs, and on full decompositions;
+* ``repro.anf.cnative`` — the import guard both bodies hang on.
 
-The whole module skips when the extension is not built — except the
-fallback tests, which force the import guard off and must pass anywhere.
+Everything that needs the extension skips where it is not built; the
+empty-operand and import-guard tests run everywhere.
 """
 
 from collections import Counter
@@ -20,10 +19,11 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
-from test_sortkernel import _assert_rows, _plain, _slab, row_kernel_results
+from kernel_bodies import kernel_body
+from test_sortkernel import _plain, _slab
 
-from repro.anf import Anf, Context, cnative, sortkernel
-from repro.anf.backend import get_backend, using_backend
+from repro.anf import Context, cnative, sortkernel
+from repro.anf.backend import using_backend
 
 terms_strategy = st.lists(
     st.integers(min_value=0, max_value=(1 << 40) - 1), unique=True, max_size=100
@@ -125,165 +125,105 @@ class TestRawPrimitives:
 
 
 @needs_ext
-class TestSerialWrapperParity:
-    """cnative's kernels vs sortkernel's numpy bodies, bit for bit."""
+class TestBodyParity:
+    """Each kernel's C body vs its numpy body, bit for bit."""
 
-    @pytest.fixture(autouse=True)
-    def forced_kernels(self, monkeypatch):
-        monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
+    @staticmethod
+    def both(kernel, *args, **kwargs):
+        """``(C body result, numpy body result)`` of one call, as lists."""
+        with kernel_body(c=True):
+            ours = _plain(kernel(*args, **kwargs))
+        with kernel_body(c=False):
+            ref = _plain(kernel(*args, **kwargs))
+        return ours, ref
 
     @given(terms=terms_strategy, group_mask=mask_strategy,
            tag=st.sampled_from([0, 1 << 50]))
-    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=60)
     def test_split_runs(self, terms, group_mask, tag):
-        slab = _slab(terms)
-        ours = _plain(cnative.split_runs_by_group(slab, group_mask, or_mask=tag))
-        ref = _plain(sortkernel._split_runs(slab, group_mask, or_mask=tag))
+        ours, ref = self.both(
+            sortkernel.split_runs_by_group, _slab(terms), group_mask, or_mask=tag
+        )
         assert ours[1] == ref[1]
         assert ours[0] == sorted(ref[0])
 
     @given(groups=st.lists(terms_strategy, min_size=1, max_size=3),
            group_mask=mask_strategy)
-    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=40)
     def test_split_build(self, groups, group_mask):
         slabs = [(1 << (50 + i), _slab(g)) for i, g in enumerate(groups)]
-        ours = cnative.split_build_by_group(slabs, group_mask)
-        ref = sortkernel._split_build(slabs, group_mask)
-        assert _plain(ours) == _plain(ref)
+        ours, ref = self.both(sortkernel.split_build_by_group, slabs, group_mask)
+        assert ours == ref
 
     @given(slabs=st.lists(
         st.lists(st.integers(min_value=0, max_value=255), max_size=20),
         max_size=8,
     ))
-    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=40)
     def test_parity_merge(self, slabs):
         arrays = [np.array(s, dtype=np.uint64) for s in slabs]
-        assert cnative.parity_merge(arrays).tolist() == (
-            sortkernel._parity_merge(arrays).tolist()
-        )
+        ours, ref = self.both(sortkernel.parity_merge, arrays)
+        assert ours == ref
 
     @given(large=terms_strategy,
            small=st.lists(st.integers(min_value=0, max_value=(1 << 20) - 1),
                           unique=True, min_size=1, max_size=6))
-    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=40)
     def test_product_rows(self, large, small):
-        assert cnative.product_rows(_slab(large), small).tolist() == (
-            sortkernel._product_rows(_slab(large), small).tolist()
-        )
-
-    def test_product_divide_and_conquer_path(self, monkeypatch):
-        """Shrink the slab budget so the D&C + C xor_merge recombination
-        actually runs, and check it against the one-shot parity sweep."""
-        monkeypatch.setattr(sortkernel, "PRODUCT_SLAB_ROWS", 64)
-        large = _slab(range(1, 200))
-        small = [1 << 45, (1 << 46) | 3, 7, (1 << 47) | 1, 11, 1 << 48]
-        expected = sortkernel._product_rows(large, small)
-        assert cnative.product_rows(large, small).tolist() == expected.tolist()
+        ours, ref = self.both(sortkernel.product_rows, _slab(large), small)
+        assert ours == ref
 
     def test_groupless_slab_is_returned_uncopied(self):
         slab = _slab([2, 4, 6])
-        runs, remainder = cnative.split_runs_by_group(slab, 1)
+        with kernel_body(c=True):
+            runs, remainder = sortkernel.split_runs_by_group(slab, 1)
         assert runs == [] and remainder is slab
 
-    @pytest.mark.parametrize("rows", [31, 32], ids=["below-floor", "at-floor"])
-    def test_kernels_return_read_only_u64_rows(self, monkeypatch, rows):
-        """Below the floor cnative delegates to sortkernel, at it the C
-        primitives run: both return the ``TermMatrix.words`` row type."""
-        monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 32)
-        for result in row_kernel_results(cnative, rows):
-            _assert_rows(result)
-
-    def test_empty_slab_and_empty_operands(self):
-        empty = _slab([])
-        runs, remainder = cnative.split_runs_by_group(empty, 0b11)
-        assert runs == [] and remainder is empty
-        some = _slab([1, 2, 3])
-        assert cnative.xor_merge(empty, some) is some
-        assert cnative.xor_merge(some, empty) is some
-        assert cnative.parity_merge([]).tolist() == []
-        assert cnative.shared_literal_count(empty, some) == 0
-        assert cnative.popcount_rows(empty) == 0
-
-
-class TestNativeBackend:
-    def test_activation_installs_the_kernel_core(self):
-        with using_backend("packed"):
-            assert sortkernel._core is None
-            with using_backend("native"):
-                assert sortkernel._core is cnative
-                assert get_backend().name == "native"
-            assert sortkernel._core is None
-
-    def test_wide_terms_fall_back_to_set_path(self):
-        """>64-var terms cannot pack; the native backend must decline to the
-        set kernels exactly like the packed backend does."""
-        ctx = Context([f"w{i}" for i in range(70)])
-        wide = Anf(ctx, [1 << 69, (1 << 68) | (1 << 2), 5])
-        with using_backend("native"):
-            buckets, remainder = get_backend().split_by_group(wide, 0b100)
-        assert sorted(buckets) == [0b100]
-        assert set(buckets[0b100].terms) == {1 << 68, 1}
-        assert set(remainder.terms) == {1 << 69}
-
-    def test_missing_extension_falls_back_with_one_warning(self, monkeypatch):
-        """Import guard forced off: activation warns once, kernels run the
-        numpy path, results unchanged."""
-        monkeypatch.setattr(cnative, "_C", None)
-        monkeypatch.setattr(cnative, "_warned_missing", False)
-        assert not cnative.available()
-        # Step out to packed first: activating "native" must be a genuine
-        # transition even when the session backend is already native.
-        with using_backend("packed"):
-            with pytest.warns(RuntimeWarning, match="not built"):
-                with using_backend("native"):
-                    slab = _slab(range(1, 50))
-                    runs, remainder = _plain(sortkernel.split_runs_by_group(slab, 0b11))
-        ref_runs, ref_rest = _plain(sortkernel._split_runs_python(slab.tolist(), 0b11))
-        assert dict(runs) == {p: sorted(r) for p, r in ref_runs}
-        assert remainder == sorted(ref_rest)
-        # Second activation stays silent (one-time warning).
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            with using_backend("native"):
-                pass
-
-    def test_missing_extension_serial_kernels_delegate(self, monkeypatch):
-        monkeypatch.setattr(cnative, "_C", None)
-        monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
-        slab = _slab([1, 2, 3, 9])
-        assert cnative.xor_merge(slab, _slab([2, 4])).tolist() == [1, 3, 4, 9]
-        assert cnative.popcount_rows(slab) == 6
-        runs, remainder = cnative.split_runs_by_group(slab, 0b1)
-        assert [p for p, _ in runs] == [1]
-        assert remainder.tolist() == [2]
-
-    @needs_ext
-    def test_engine_parity_native_vs_packed(self):
-        """Full decomposition, native vs packed, bit for bit (kernels forced
-        through the C path by the session-wide thresholds)."""
+    def test_engine_parity_c_vs_numpy(self):
+        """Full decomposition on the C bodies vs the numpy bodies, bit for bit."""
         from repro.anf import majority, variables
         from repro.anf.expression import xor_accumulate
         from repro.core import DecompositionOptions, progressive_decomposition
 
         results = {}
-        for backend in ("packed", "native"):
+        for c in (False, True):
             ctx = Context()
             bits = variables(ctx, [f"x{i}" for i in range(8)])
             outputs = {
                 "maj": majority(bits, ctx),
                 "parity": xor_accumulate(bits, ctx),
             }
-            with using_backend(backend):
+            with kernel_body(c), using_backend("packed"):
                 d = progressive_decomposition(
                     outputs,
                     DecompositionOptions(),
                     input_words=[[f"x{i}" for i in range(8)]],
                 )
             assert d.verify()
-            results[backend] = (
+            results[c] = (
                 [(b.name, sorted(b.definition.terms)) for b in d.blocks],
                 {p: sorted(e.terms) for p, e in d.outputs.items()},
             )
-        assert results["packed"] == results["native"]
+        assert results[True] == results[False]
+
+
+def test_empty_slab_and_empty_operands(kernel_mode):
+    empty = _slab([])
+    runs, remainder = sortkernel.split_runs_by_group(empty, 0b11)
+    assert runs == [] and remainder is empty
+    some = _slab([1, 2, 3])
+    assert sortkernel.xor_merge(empty, some) is some
+    assert sortkernel.xor_merge(some, empty) is some
+    assert sortkernel.parity_merge([]).tolist() == []
+    assert sortkernel.parity_merge([empty, empty]).tolist() == []
+    assert sortkernel.product_rows(some, []) is sortkernel.EMPTY
+    assert sortkernel.product_rows(empty, [1, 6]) is sortkernel.EMPTY
+    assert sortkernel.shared_literal_count(empty, some) == 0
+    assert sortkernel.popcount_rows(empty) == 0
+
+
+def test_kernels_hang_on_the_import_guard():
+    """sortkernel's ``_C`` is the guard's module, and ``available()`` — what
+    benchmark stamps read — says whether the extension imported."""
+    assert sortkernel._C is cnative._C
+    assert cnative.available() == (cnative._C is not None)

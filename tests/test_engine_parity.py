@@ -6,20 +6,24 @@ independently built (but identically declared) contexts and asserts the
 results are bit-identical — outputs, blocks, and the complete per-iteration
 trace — across every ``DecompositionOptions`` ablation.
 
-Every ablation runs under both term backends: the reference loop always runs
-on the ``set`` backend (the seed representation), while the engine runs on
-the backend under test, so the packed term-matrix kernels are held to the
-same bit-identical standard as the pipeline itself.
+Every ablation runs under both term backends, and the packed one on both
+kernel bodies (numpy, and C where the extension is built): the reference
+loop always runs on the ``set`` backend (the seed representation), while
+the engine runs on the backend under test, so the packed term-matrix kernels
+are held to the same bit-identical standard as the pipeline itself.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kernel_bodies import BACKENDS, BUILT_BACKENDS, running
 from reference_loop import reference_decomposition
 
-from repro.anf import Anf, Context, majority, sortkernel, variables
+from repro.anf import Anf, Context, Word, carry_save_reduce, majority, sortkernel, variables
 from repro.anf.backend import using_backend
+from repro.circuit import check_netlist_against_anf
 from repro.core import DecompositionOptions, progressive_decomposition
+from repro.core.structure import decomposition_to_netlist
 from repro.engine import (
     BasisExtractionPass,
     GroupingPass,
@@ -105,14 +109,11 @@ def _twin_adder(width):
     return specs
 
 
-BACKENDS = ("set", "packed", "native")
-
-
 def _check_parity(twins, options, backend):
     (ref_outputs, ref_words), (new_outputs, new_words) = twins
     with using_backend("set"):
         expected = reference_decomposition(ref_outputs, options, input_words=ref_words)
-    with using_backend(backend):
+    with running(backend):
         actual = progressive_decomposition(new_outputs, options, input_words=new_words)
     assert_bit_identical(expected, actual)
     return actual
@@ -132,20 +133,21 @@ class TestAblationParity:
 
 class TestVectorKernelParity:
     """The ablations again with ``KERNEL_MIN_ROWS = 0``.  These specs are
-    small enough that the default threshold keeps every slab on the per-term
-    paths; here each packed kernel runs its whole-slab body instead (numpy,
-    or the C core under ``native`` when the extension is built)."""
+    small enough that the default threshold keeps every ``Anf.__and__`` on
+    the frozenset product; here every product with a packable small operand
+    builds a matrix and distributes over it (``product_rows``), on both
+    kernel bodies."""
 
     @pytest.fixture(autouse=True)
     def vector_kernels(self, monkeypatch):
         monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
 
-    @pytest.mark.parametrize("backend", ("packed", "native"))
+    @pytest.mark.parametrize("backend", BACKENDS[1:])
     @pytest.mark.parametrize("options", ABLATIONS, ids=lambda o: repr(o))
     def test_majority7_parity(self, options, backend):
         assert _check_parity(_twin_majority(7), options, backend).verify()
 
-    @pytest.mark.parametrize("backend", ("packed", "native"))
+    @pytest.mark.parametrize("backend", BACKENDS[1:])
     @pytest.mark.parametrize("options", ABLATIONS[:4], ids=lambda o: repr(o))
     def test_multi_output_adder_parity(self, options, backend):
         _check_parity(_twin_adder(4), options, backend)
@@ -154,7 +156,7 @@ class TestVectorKernelParity:
 class TestPairMergeProbe:
     """The fingerprint probe of ``merge_equal_parts`` (count plus three
     sampled rows of each second) only short-cuts key hashing: forced on
-    (``PROBE_MIN_TERMS = 0``) or off, both packed backends merge to the same
+    (``PROBE_MIN_TERMS = 0``) or off, both packed kernel bodies merge to the same
     pairs.  Two of the seconds collide on the fingerprint but differ, so the
     full-key fallback inside a collision is exercised too."""
 
@@ -173,7 +175,7 @@ class TestPairMergeProbe:
             (a | b, self.SECOND_B), (d, self.SECOND_C), (a | c, self.SECOND_A),
         ]
         terms = [part | row for part, rows in placed for row in rows] + [7, 64]
-        with using_backend(backend):
+        with running(backend):
             merged = merge_equal_parts(
                 initial_pairs(Anf(ctx, terms), a | b | c | d, NullSpaceTable(ctx))
             )
@@ -185,7 +187,7 @@ class TestPairMergeProbe:
             sorted(merged.remainder.terms),
         )
 
-    @pytest.mark.parametrize("backend", ("packed", "native"))
+    @pytest.mark.parametrize("backend", BACKENDS[1:])
     def test_probe_on_and_off_merge_identically(self, monkeypatch, backend):
         from repro.core import pairs
 
@@ -216,7 +218,7 @@ class TestRandomisedParity:
             min_size=0, max_size=6,
         ),
         st.sampled_from(ABLATIONS),
-        st.sampled_from(BACKENDS),
+        st.sampled_from(BUILT_BACKENDS),
     )
     @settings(max_examples=60, deadline=None)
     def test_random_specs_parity(self, subsets_f, subsets_g, options, backend):
@@ -245,15 +247,177 @@ class TestRandomisedParity:
             with using_backend("set"):
                 expected = reference_decomposition(ref_outputs, options)
         except RuntimeError as reference_error:
-            with using_backend(backend):
+            with running(backend):
                 with pytest.raises(RuntimeError) as caught:
                     progressive_decomposition(new_outputs, options)
                 assert str(caught.value) == str(reference_error)
             return
-        with using_backend(backend):
+        with running(backend):
             actual = progressive_decomposition(new_outputs, options)
         assert_bit_identical(expected, actual)
         assert actual.verify()
+
+
+#: The ``Word`` operations the differential fuzzer draws specs from.
+WORD_OPS = ("add", "sub", "greater_than", "equals", "select", "carry_save_reduce")
+
+
+def _word_spec(op, widths, keep, compare_select):
+    """Build one ``Word``-arithmetic spec in a fresh context.
+
+    ``op`` runs on input words of the given ``widths`` (``select`` steers
+    on a fresh input bit, or on ``a > b`` when ``compare_select``); the spec
+    keeps the output ports whose bit is set in ``keep``.  Returns
+    ``(outputs, input_words)``.
+    """
+    ctx = Context()
+    names = [ctx.bus(chr(ord("a") + i), width) for i, width in enumerate(widths)]
+    words = [Word(ctx, [Anf.var(ctx, name) for name in bus]) for bus in names]
+    a, b = words[0], words[1]
+    if op == "add":
+        ports = (a + b).as_outputs("s")
+    elif op == "sub":
+        difference, borrow = a.sub(b)
+        ports = {**difference.as_outputs("d"), "borrow": borrow}
+    elif op == "greater_than":
+        ports = {"gt": a.greater_than(b)}
+    elif op == "equals":
+        ports = {"eq": a.equals(b)}
+    elif op == "select":
+        condition = a.greater_than(b) if compare_select else words[2].bit(0)
+        ports = a.select(condition, b).as_outputs("m")
+    else:
+        total, carries = carry_save_reduce(ctx, words)
+        ports = {**total.as_outputs("s"), **carries.as_outputs("c")}
+    kept = {
+        port: expr for i, (port, expr) in enumerate(sorted(ports.items()))
+        if keep >> (i % 16) & 1
+    }
+    return kept or ports, names
+
+
+@st.composite
+def word_spec_params(draw, op):
+    """Parameters of a random ``op`` spec over 8–12 input bits."""
+    bits = draw(st.integers(min_value=8, max_value=12))
+    compare_select = op == "select" and draw(st.booleans())
+    if op == "carry_save_reduce":
+        first = draw(st.integers(min_value=2, max_value=bits - 4))
+        second = draw(st.integers(min_value=2, max_value=bits - first - 2))
+        widths = (first, second, bits - first - second)
+    elif op == "select" and not compare_select:
+        first = draw(st.integers(min_value=2, max_value=bits - 3))
+        widths = (first, bits - 1 - first, 1)
+    else:
+        first = draw(st.integers(min_value=2, max_value=bits - 2))
+        widths = (first, bits - first)
+    keep = draw(st.integers(min_value=1, max_value=(1 << 16) - 1))
+    options = draw(st.sampled_from(ABLATIONS[:1] + ABLATIONS[6:7]))
+    return (op, widths, keep, compare_select), options
+
+
+#: The cold-small jobs of the whole-job benchmark whose spec slabs all hold
+#: fewer than 1024 rows: the jobs that ran the per-term kernel paths until
+#: the vector bodies took every size.
+SMALL_JOBS = (
+    [("adder", w) for w in (4, 6, 8, 10)]
+    + [("comparator", w) for w in (4, 6)]
+    + [("counter", w) for w in (4, 6, 8, 10, 12)]
+    + [("lod", w) for w in (4, 8, 12, 16, 18, 20)]
+    + [("lzd", w) for w in (4, 6, 8, 10)]
+    + [("majority", w) for w in (5, 7, 9, 11)]
+    + [("three_input_adder", w) for w in (3, 4, 5)]
+)
+
+
+class TestSmallJobParity:
+    """Every small benchmark job decomposes bit-identically on the packed
+    kernel bodies and on the ``set`` reference, and verifies."""
+
+    @pytest.mark.parametrize("circuit, width", SMALL_JOBS,
+                             ids=[f"{c}-{w}" for c, w in SMALL_JOBS])
+    def test_small_job(self, circuit, width):
+        import repro.benchcircuits as benchcircuits
+
+        builder = getattr(benchcircuits, f"{circuit}_spec")
+        results = {}
+        for backend in BUILT_BACKENDS:
+            spec = builder(width)
+            assert max(e.num_terms for e in spec.outputs.values()) < 1024
+            with running(backend):
+                results[backend] = progressive_decomposition(
+                    spec.outputs, DecompositionOptions(), input_words=spec.input_words
+                )
+            assert results[backend].verify(), backend
+        for backend in BUILT_BACKENDS[1:]:
+            assert_bit_identical(results["set"], results[backend])
+
+
+class TestWordArithmeticFuzz:
+    """Differential fuzzer over random ``Word``-arithmetic specs at 8–12
+    input bits.  Each spec decomposes under ``set``, ``packed`` on the numpy
+    bodies and ``packed`` on the C bodies (where built); every result must
+    pass the DAG verify, the ``flatten`` verify and netlist simulation
+    against the spec, and the backends must agree bit for bit.  The packed
+    kernels run their vector bodies here on slabs of a few to a few hundred
+    rows — the sizes real small jobs send them."""
+
+    @pytest.mark.parametrize("op", WORD_OPS)
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_backends_agree_and_verify(self, op, data):
+        params, options = data.draw(word_spec_params(op))
+        self._check(lambda: _word_spec(*params), options)
+
+    @given(
+        sum_op=st.sampled_from(["add", "sub"]),
+        check_op=st.sampled_from(["greater_than", "equals", "select"]),
+        widths=st.tuples(*[st.integers(min_value=2, max_value=4)] * 3).filter(
+            lambda w: 8 <= sum(w) <= 12
+        ),
+        options=st.sampled_from(ABLATIONS[:1] + ABLATIONS[6:7]),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_composed_specs(self, sum_op, check_op, widths, options):
+        """An arithmetic result fed into a comparison or a select against a
+        third operand: ``(a + b) > c``, ``(a - b) == c``, ``c if a + b > c
+        else a + b`` and so on."""
+
+        def build():
+            ctx = Context()
+            names = [ctx.bus(chr(ord("a") + i), w) for i, w in enumerate(widths)]
+            a, b, c = (Word(ctx, [Anf.var(ctx, n) for n in bus]) for bus in names)
+            left = a + b if sum_op == "add" else a.sub(b)[0]
+            if check_op == "greater_than":
+                outputs = {"gt": left.greater_than(c)}
+            elif check_op == "equals":
+                outputs = {"eq": left.equals(c)}
+            else:
+                outputs = c.select(left.greater_than(c), left).as_outputs("m")
+            return outputs, names
+
+        self._check(build, options)
+
+    @staticmethod
+    def _check(build, options):
+        """Decompose ``build()``'s spec on every built backend, check each
+        result three ways, and hold the packed ones to the ``set`` result."""
+        results = {}
+        for backend in BUILT_BACKENDS:
+            outputs, words = build()
+            with running(backend):
+                results[backend] = progressive_decomposition(
+                    outputs, options, input_words=words
+                )
+            decomposition = results[backend]
+            assert decomposition.verify(), backend
+            assert decomposition.verify(method="flatten"), backend
+            netlist = decomposition_to_netlist(decomposition)
+            assert check_netlist_against_anf(
+                netlist, outputs, max_exhaustive_inputs=8, random_vectors=256
+            ).equivalent, backend
+        for backend in BUILT_BACKENDS[1:]:
+            assert_bit_identical(results["set"], results[backend])
 
 
 class TestPipelineAssembly:

@@ -1,12 +1,11 @@
 """Property tests for the whole-matrix sort/scan kernel layer.
 
-Three implementations of every split/scatter kernel must agree on arbitrary
-inputs:
-
-* the ``SetBackend`` reference (per-term loops over frozensets),
-* the old per-term packed path (kept as ``sortkernel._split_runs_python`` /
-  the small-input fallbacks), and
-* the new key-sort path (numpy, forced by dropping ``KERNEL_MIN_ROWS`` to 0).
+Every split/scatter kernel must agree on arbitrary inputs with the
+``SetBackend`` reference (per-term loops over frozensets) and with the
+per-term oracles ``sortkernel._split_runs_python`` /
+``sortkernel._split_build_python``.  The ``kernel_mode`` fixture runs each
+property on the numpy bodies and on the C bodies (where the extension is
+built); both run at every input size.
 
 The construction kernels (``sort_terms``/``merge_disjoint``/``xor_merge``/
 ``parity_merge``/``product_rows``) are checked against brute-force multiset
@@ -31,29 +30,6 @@ terms_strategy = st.lists(
 mask_strategy = st.integers(min_value=0, max_value=(1 << 40) - 1)
 
 
-@pytest.fixture(params=["python", "numpy", "cnative"])
-def kernel_mode(request, monkeypatch):
-    """Run each kernel property under the per-term paths, the forced numpy
-    path, and the compiled C core (an unreachable ``KERNEL_MIN_ROWS`` keeps
-    every input on the per-term paths, ``0`` sends even tiny inputs through
-    the vector kernels; installing ``cnative`` as the kernel core routes the
-    public kernels through the C primitives)."""
-    if request.param == "python":
-        monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 1 << 62)
-        monkeypatch.setattr(sortkernel, "_core", None)
-    elif request.param == "numpy":
-        monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
-        monkeypatch.setattr(sortkernel, "_core", None)
-    else:
-        from repro.anf import cnative
-
-        if not cnative.available():
-            pytest.skip("C extension not built")
-        monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
-        monkeypatch.setattr(sortkernel, "_core", cnative)
-    return request.param
-
-
 def _slab(terms):
     """A sorted read-only ``uint64`` row vector (the ``TermMatrix.words`` type)."""
     rows = np.array(sorted(terms), dtype=np.uint64)
@@ -75,20 +51,6 @@ def _assert_rows(rows):
     assert isinstance(rows, np.ndarray)
     assert rows.dtype == np.uint64 and rows.ndim == 1
     assert rows.flags.c_contiguous and not rows.flags.writeable
-
-
-def test_env_int_warns_on_bad_values(monkeypatch):
-    monkeypatch.setenv("REPRO_TEST_TUNABLE", "not-a-number")
-    with pytest.warns(RuntimeWarning, match="malformed"):
-        assert sortkernel._env_int("REPRO_TEST_TUNABLE", 1024) == 1024
-    monkeypatch.setenv("REPRO_TEST_TUNABLE", "-5")
-    with pytest.warns(RuntimeWarning, match="below the minimum"):
-        assert sortkernel._env_int("REPRO_TEST_TUNABLE", 1024, minimum=1) == 1
-    # In-range and empty values stay silent.
-    monkeypatch.setenv("REPRO_TEST_TUNABLE", "17")
-    assert sortkernel._env_int("REPRO_TEST_TUNABLE", 1024) == 17
-    monkeypatch.setenv("REPRO_TEST_TUNABLE", "")
-    assert sortkernel._env_int("REPRO_TEST_TUNABLE", 1024) == 1024
 
 
 class TestSplitKernel:
@@ -126,6 +88,21 @@ class TestSplitKernel:
         assert all(rows == [0] for _, rows in runs)
 
 
+    @given(terms=terms_strategy, group_mask=mask_strategy)
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_or_mask_is_planted_in_every_row(self, kernel_mode, terms, group_mask):
+        """The fused path's tag: ``or_mask`` ORed into every emitted row."""
+        tag = 1 << 50
+        runs, remainder = _plain(
+            sortkernel.split_runs_by_group(_slab(terms), group_mask, or_mask=tag)
+        )
+        ref_runs, ref_remainder = _plain(
+            sortkernel._split_runs_python(sorted(terms), group_mask, or_mask=tag)
+        )
+        assert remainder == sorted(ref_remainder)
+        assert dict(runs) == {p: sorted(r) for p, r in ref_runs}
+
+
 class TestRadixSplit:
     """The counting/radix bucketing vs the stable argsort it replaced."""
 
@@ -156,7 +133,6 @@ class TestRadixSplit:
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_radix_matches_argsort_path(self, monkeypatch, terms, group_mask):
         """Same inputs through the dispatcher's two vectorised paths."""
-        monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
         slab = _slab(terms)
         radix = sortkernel.split_runs_by_group(slab, group_mask)
         # Forcing the width guard to 0 sends the same call down the argsort
@@ -167,8 +143,7 @@ class TestRadixSplit:
             argsort = sortkernel.split_runs_by_group(slab, group_mask)
         assert _plain(radix) == _plain(argsort)
 
-    def test_wide_masks_keep_the_argsort_path(self, monkeypatch):
-        monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
+    def test_wide_masks_keep_the_argsort_path(self):
         wide_mask = sum(1 << i for i in range(sortkernel.RADIX_MAX_GROUP_BITS + 2))
         terms = list(range(1, 600))
         runs, remainder = _plain(sortkernel.split_runs_by_group(_slab(terms), wide_mask))
@@ -176,8 +151,7 @@ class TestRadixSplit:
         assert remainder == sorted(ref_remainder)
         assert dict(runs) == {p: sorted(r) for p, r in ref_runs}
 
-    def test_all_rows_groupless_returns_input_slab(self, monkeypatch):
-        monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
+    def test_all_rows_groupless_returns_input_slab(self, kernel_mode):
         slab = _slab([2, 4, 6])
         runs, remainder = sortkernel.split_runs_by_group(slab, 1)
         assert runs == [] and remainder is slab
@@ -252,10 +226,9 @@ class TestFusedBackendSeam:
                                            unique=True, max_size=20), min_size=1, max_size=3),
            group_mask=st.integers(min_value=0, max_value=255))
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_split_tagged_matches_two_step(self, monkeypatch, outputs_terms, group_mask):
+    def test_split_tagged_matches_two_step(self, outputs_terms, group_mask):
         from repro.core.basis import combine_with_tags
 
-        monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
         results = []
         for _ in range(2):
             ctx = Context([f"v{i}" for i in range(8)])
@@ -290,16 +263,15 @@ class TestFusedBackendSeam:
         assert PackedBackend().split_tagged(items, tag_bit | 1, ctx) is None
 
 
-class TestBackendParityThreeWays:
-    """SetBackend vs old per-term packed path vs new key-sort path."""
+class TestBackendParity:
+    """SetBackend vs the packed kernels."""
 
     @given(terms=terms_strategy, group_mask=st.integers(min_value=0, max_value=255))
     @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_split_by_group(self, monkeypatch, terms, group_mask):
+    def test_split_by_group(self, terms, group_mask):
         ctx = Context([f"v{i}" for i in range(8)])
         expr = Anf(ctx, terms)
         set_buckets, set_rem = SetBackend().split_by_group(expr, group_mask)
-        monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
         new_buckets, new_rem = PackedBackend().split_by_group(
             Anf(ctx, terms), group_mask
         )
@@ -310,10 +282,9 @@ class TestBackendParityThreeWays:
 
     @given(terms=terms_strategy, tags_mask=st.integers(min_value=0, max_value=(1 << 8) - 1))
     @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_scatter_by_tags(self, monkeypatch, terms, tags_mask):
+    def test_scatter_by_tags(self, terms, tags_mask):
         ctx = Context([f"v{i}" for i in range(8)])
         reference = SetBackend().scatter_by_tags(Anf(ctx, terms), tags_mask)
-        monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 0)
         fast = PackedBackend().scatter_by_tags(Anf(ctx, terms), tags_mask)
         assert {bit: comp.terms for bit, comp in reference.items()} == {
             bit: comp.terms for bit, comp in fast.items()
@@ -384,6 +355,19 @@ class TestConstructionKernels:
         got = sortkernel.product_rows(_slab(large), small)
         assert got.tolist() == expected
 
+    def test_product_rows_divide_and_conquer(self, kernel_mode, monkeypatch):
+        """A slab budget small enough to split the product into halves that
+        recombine by ``xor_merge``: same rows as the brute-force product."""
+        monkeypatch.setattr(sortkernel, "PRODUCT_SLAB_ROWS", 64)
+        large = list(range(1, 200))
+        small = [1 << 45, (1 << 46) | 3, 7, (1 << 47) | 1, 11, 1 << 48]
+        counts = {}
+        for t in small:
+            for r in large:
+                counts[r | t] = counts.get(r | t, 0) + 1
+        expected = sorted(r for r, c in counts.items() if c & 1)
+        assert sortkernel.product_rows(_slab(large), small).tolist() == expected
+
     @given(left=terms_strategy, right=terms_strategy)
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_shared_literal_count(self, kernel_mode, left, right):
@@ -429,104 +413,179 @@ class TestConstructionKernels:
         assert sortkernel.clear_bits_all(tagged, tag).tolist() == slab.tolist()
 
 
-#: Every public kernel behind the ``set_core`` seam, with small arguments.
-CORE_KERNEL_CALLS = [
-    ("split_runs_by_group", "_split_runs", (_slab([1, 2, 3, 6]), 0b10)),
-    ("split_build_by_group", "_split_build", ([(1 << 50, _slab([1, 2, 3]))], 0b10)),
-    ("scatter_tag", "_scatter_tag", (_slab([1, 3, 4]), 0b1)),
-    ("xor_merge", "_xor_merge", (_slab([1, 2]), _slab([2, 5]))),
-    ("parity_merge", "_parity_merge", ([_slab([1, 2]), _slab([2, 5])],)),
-    ("product_rows", "_product_rows", (_slab([1, 2]), [4, 6])),
-    ("shared_literal_count", "_shared_literal_count", (_slab([3, 5]), _slab([5, 6]))),
-    ("popcount_rows", "_popcount_rows", (_slab([3, 5, 8]),)),
+class TestFullWidthRows:
+    """Rows that use bit 63, the top of a ``uint64``.  The per-term paths
+    once answered every small slab in Python ints; the vector bodies now do,
+    so small slabs of full-width rows go through ``uint64`` arithmetic."""
+
+    wide_terms = st.lists(
+        st.integers(min_value=0, max_value=(1 << 64) - 1), unique=True, max_size=60
+    )
+    top_mask = st.integers(min_value=1, max_value=63).map(
+        lambda low: (1 << 63) | (1 << low) | 1
+    )
+
+    @given(terms=wide_terms, group_mask=top_mask)
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_split_and_scatter(self, kernel_mode, terms, group_mask):
+        slab = _slab(terms)
+        runs, remainder = _plain(sortkernel.split_runs_by_group(slab, group_mask))
+        ref_runs, ref_remainder = _plain(
+            sortkernel._split_runs_python(slab.tolist(), group_mask)
+        )
+        assert remainder == sorted(ref_remainder)
+        assert dict(runs) == {p: sorted(r) for p, r in ref_runs}
+        top = 1 << 63
+        assert sortkernel.scatter_tag(slab, top).tolist() == sorted(
+            t & ~top for t in terms if t & top
+        )
+
+    @given(left=wide_terms, right=wide_terms)
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_construction(self, kernel_mode, left, right):
+        assert sortkernel.sort_terms(list(left)).tolist() == sorted(left)
+        assert sortkernel.xor_merge(_slab(left), _slab(right)).tolist() == sorted(
+            set(left) ^ set(right)
+        )
+        assert sortkernel.parity_merge(
+            [np.array(left, dtype=np.uint64), np.array(right, dtype=np.uint64)]
+        ).tolist() == sorted(set(left) ^ set(right))
+        union = sorted(set(left) | set(right))
+        half = len(union) // 2
+        assert sortkernel.merge_disjoint(
+            [_slab(union[half:]), _slab(union[:half])]
+        ).tolist() == union
+
+    @given(large=wide_terms, small=st.lists(
+        st.integers(min_value=0, max_value=(1 << 64) - 1), unique=True, min_size=1, max_size=4
+    ))
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_product_and_scans(self, kernel_mode, large, small):
+        counts = {}
+        for t in small:
+            for r in large:
+                counts[r | t] = counts.get(r | t, 0) + 1
+        expected = sorted(r for r, c in counts.items() if c & 1)
+        assert sortkernel.product_rows(_slab(large), small).tolist() == expected
+        slab = _slab(large)
+        assert sortkernel.popcount_rows(slab) == sum(t.bit_count() for t in large)
+        fold = 0
+        for t in large:
+            fold |= t
+        assert sortkernel.support_fold(slab) == fold
+        shared = set(large) & set(small)
+        assert sortkernel.shared_literal_count(slab, _slab(small)) == sum(
+            t.bit_count() for t in shared
+        )
+
+    @given(terms=st.lists(st.integers(min_value=0, max_value=(1 << 62) - 1),
+                          unique=True, max_size=60))
+    @settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_top_bit_rewrites(self, kernel_mode, terms):
+        tag = (1 << 63) | (1 << 62)
+        tagged = sortkernel.or_into_all(_slab(terms), tag)
+        assert tagged.tolist() == sorted(t | tag for t in terms)
+        assert sortkernel.rows_contain_all(tagged, tag)
+        assert sortkernel.rows_contain_all(_slab(terms), tag) == (not terms)
+        assert sortkernel.clear_bits_all(tagged, tag).tolist() == sorted(terms)
+
+
+#: Every public kernel with small arguments, and the C primitive it calls
+#: when the extension is built (``None``: the kernel has only a numpy body).
+KERNEL_CALLS = [
+    ("split_runs_by_group", (_slab([1, 2, 3, 6]), 0b10), "split_radix"),
+    ("split_build_by_group", ([(1 << 50, _slab([1, 2, 3]))], 0b10), "split_radix"),
+    ("scatter_tag", (_slab([1, 3, 4]), 0b1), "scatter_tag"),
+    ("xor_merge", (_slab([1, 2]), _slab([2, 5])), "xor_merge"),
+    ("parity_merge", ([_slab([1, 2]), _slab([2, 5])],), "sort_parity"),
+    ("product_rows", (_slab([1, 2]), [4, 6]), "sort_parity"),
+    ("shared_literal_count", (_slab([3, 5]), _slab([5, 6])), "shared_literal_count"),
+    ("popcount_rows", (_slab([3, 5, 8]),), "popcount_rows"),
+    ("sort_terms", ([6, 1, 3],), None),
+    ("merge_disjoint", ([_slab([1, 4]), _slab([2, 3])],), None),
+    ("or_into_all", (_slab([1, 2]), 1 << 50), None),
+    ("support_fold", (_slab([1, 6]),), None),
+    ("clear_bits_all", (_slab([5, 7]), 0b1), None),
+    ("rows_contain_all", (_slab([5, 7]), 0b1), None),
 ]
 
 
-def row_kernel_results(kernels, rows):
-    """Every row vector the public row-producing kernels of ``kernels`` (the
-    sortkernel module or a kernel core) return on ``rows``-row inputs."""
+class _PrimitiveCalled(Exception):
+    pass
+
+
+class _RecordingExtension:
+    """Stands in for the compiled module: every primitive records its name
+    and raises, so a test sees which primitive a kernel reached for."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        def primitive(*args):
+            self.calls.append(name)
+            raise _PrimitiveCalled(name)
+
+        return primitive
+
+
+def row_kernel_results(rows):
+    """Every row vector the public row-producing kernels return on
+    ``rows``-row inputs."""
     terms = list(range(1, rows + 1))
     half = rows // 2
     tag = 1 << 50
     results = [
-        kernels.scatter_tag(_slab(terms), 0b1),
-        kernels.xor_merge(_slab(terms[:half]), _slab(terms[half - 1:])),
-        kernels.parity_merge([_slab(terms[:half]), _slab(terms[half:])]),
-        kernels.product_rows(_slab(terms), [tag]),
+        sortkernel.scatter_tag(_slab(terms), 0b1),
+        sortkernel.xor_merge(_slab(terms[:half]), _slab(terms[half - 1:])),
+        sortkernel.parity_merge([_slab(terms[:half]), _slab(terms[half:])]),
+        sortkernel.product_rows(_slab(terms), [tag]),
+        sortkernel.sort_terms(reversed(terms)),
+        sortkernel.merge_disjoint([_slab(terms[::2]), _slab(terms[1::2])]),
+        sortkernel.merge_disjoint([_slab(terms[:half]), _slab(terms[half:])]),
+        sortkernel.or_into_all(_slab(terms), tag),
+        sortkernel.clear_bits_all(_slab([t | tag for t in terms]), tag),
     ]
     for mask in (0b11, (1 << 8) - 1):  # radix and wide-mask argsort routes
-        runs, remainder = kernels.split_runs_by_group(_slab(terms), mask)
-        results += [r for _, r in runs] + [remainder]
-        runs, remainder = kernels.split_build_by_group([(tag, _slab(terms))], mask)
-        results += [r for _, r in runs] + [remainder]
-    if kernels is sortkernel:
-        results += [
-            sortkernel.sort_terms(reversed(terms)),
-            sortkernel.merge_disjoint([_slab(terms[::2]), _slab(terms[1::2])]),
-            sortkernel.merge_disjoint([_slab(terms[:half]), _slab(terms[half:])]),
-            sortkernel.or_into_all(_slab(terms), tag),
-            sortkernel.clear_bits_all(_slab([t | tag for t in terms]), tag),
-        ]
+        for runs, remainder in (
+            sortkernel.split_runs_by_group(_slab(terms), mask),
+            sortkernel.split_build_by_group([(tag, _slab(terms))], mask),
+        ):
+            results += [r for _, r in runs] + [remainder]
     return results
 
 
-class TestKernelCore:
-    """The one seam: each public kernel runs its numpy body when no core is
-    installed, and hands its exact arguments to the installed core otherwise."""
+class TestKernelBodies:
+    """Each public kernel has at most two bodies: the C primitive when the
+    extension imported, the numpy body otherwise — chosen by ``_C`` alone."""
 
-    @pytest.mark.parametrize("rows", [31, 32], ids=["below-floor", "at-floor"])
-    def test_kernels_return_read_only_u64_rows(self, monkeypatch, rows):
-        """Both sides of ``KERNEL_MIN_ROWS`` produce the ``TermMatrix.words``
-        type: a read-only, C-contiguous ``uint64`` vector."""
-        monkeypatch.setattr(sortkernel, "_core", None)
-        monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 32)
-        for result in row_kernel_results(sortkernel, rows):
+    @pytest.mark.parametrize("rows", [0, 40], ids=["empty", "rows"])
+    def test_kernels_return_read_only_u64_rows(self, kernel_mode, rows):
+        """Every body returns the ``TermMatrix.words`` type, empty slabs
+        included: a read-only, C-contiguous ``uint64`` vector."""
+        for result in row_kernel_results(rows):
             _assert_rows(result)
 
-    @pytest.mark.parametrize("name, body, args", CORE_KERNEL_CALLS,
-                             ids=[call[0] for call in CORE_KERNEL_CALLS])
-    def test_public_kernel_dispatches_on_the_core(self, monkeypatch, name, body, args):
-        from types import SimpleNamespace
-
-        monkeypatch.setattr(sortkernel, "_core", None)
+    @pytest.mark.parametrize("name, args, primitive", KERNEL_CALLS,
+                             ids=[call[0] for call in KERNEL_CALLS])
+    def test_kernel_picks_its_body_by_the_import_guard(
+        self, monkeypatch, name, args, primitive
+    ):
+        """With ``_C`` set a packed kernel calls its C primitive; with ``_C``
+        unset it runs the numpy body; a kernel with no primitive never
+        touches ``_C``."""
         kernel = getattr(sortkernel, name)
-        assert _plain(kernel(*args)) == _plain(getattr(sortkernel, body)(*args))
-        seen = []
-        answer = object()
-
-        def fake(*received):
-            seen.append(received)
-            return answer
-
-        sortkernel.set_core(SimpleNamespace(**{name: fake}))
-        assert kernel(*args) is answer
-        assert len(seen) == 1 and all(a is b for a, b in zip(seen[0], args))
-        sortkernel.set_core(None)
-        assert sortkernel._core is None
-        assert _plain(kernel(*args)) == _plain(getattr(sortkernel, body)(*args))
-
-    def test_vector_path_starts_at_kernel_min_rows(self, monkeypatch):
-        """One row below the threshold stays per-term; at the threshold the
-        numpy body runs; both give the same rows."""
-        monkeypatch.setattr(sortkernel, "_core", None)
-        monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", 32)
-        per_term = []
-        real_python = sortkernel._split_runs_python
-        monkeypatch.setattr(
-            sortkernel,
-            "_split_runs_python",
-            lambda words, *a: per_term.append(len(words)) or real_python(words, *a),
-        )
-        for rows in (31, 32):
-            per_term.clear()
-            terms = list(range(1, rows + 1))
-            slab = _slab(terms)
-            runs, remainder = _plain(sortkernel.split_runs_by_group(slab, 0b11))
-            ref_runs, ref_remainder = _plain(real_python(terms, 0b11))
-            assert runs == sorted(ref_runs)
-            assert remainder == ref_remainder
-            assert sortkernel.popcount_rows(slab) == sum(t.bit_count() for t in terms)
-            assert bool(per_term) == (rows < 32)
+        monkeypatch.setattr(sortkernel, "_C", None)
+        numpy_result = _plain(kernel(*args))
+        extension = _RecordingExtension()
+        monkeypatch.setattr(sortkernel, "_C", extension)
+        if primitive is None:
+            assert _plain(kernel(*args)) == numpy_result
+            assert extension.calls == []
+        else:
+            with pytest.raises(_PrimitiveCalled):
+                kernel(*args)
+            assert extension.calls == [primitive]
 
 
 class TestExpressionAccumulation:
@@ -539,6 +598,37 @@ class TestExpressionAccumulation:
         for piece in pieces:
             folded = folded ^ piece
         assert xor_accumulate(pieces, ctx).terms == folded.terms
+
+    @given(st.lists(st.lists(st.integers(min_value=0, max_value=255), max_size=10), max_size=8))
+    @settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_xor_accumulate_flushes_batches(self, kernel_mode, monkeypatch, pieces_terms):
+        """A row budget of a few rows makes the accumulation flush its batch
+        into the running parity slab over and over; same set as the fold."""
+        monkeypatch.setattr(sortkernel, "PRODUCT_SLAB_ROWS", 3)
+        ctx = Context([f"v{i}" for i in range(8)])
+        pieces = [Anf(ctx, terms) for terms in pieces_terms]
+        folded = Anf.zero(ctx)
+        for piece in pieces:
+            folded = folded ^ piece
+        assert xor_accumulate(pieces, ctx).terms == folded.terms
+
+    @pytest.mark.parametrize("rows", [sortkernel.KERNEL_MIN_ROWS - 1, sortkernel.KERNEL_MIN_ROWS])
+    def test_and_distributes_over_a_matrix_from_kernel_min_rows(self, rows):
+        """``KERNEL_MIN_ROWS`` still decides how ``Anf.__and__`` multiplies:
+        from that many terms on, the large operand becomes a matrix and the
+        product comes back matrix-backed; below it, the frozenset product
+        runs.  Both give the same terms."""
+        ctx = Context([f"v{i}" for i in range(16)])
+        large = Anf(ctx, [t << 2 for t in range(1, rows + 1)])
+        small = Anf(ctx, [0b101, 0b10])  # overlaps the large support
+        product = large & small
+        expected = {}
+        for left in large.terms:
+            for right in small.terms:
+                expected[left | right] = expected.get(left | right, 0) ^ 1
+        assert product.terms == frozenset(t for t, odd in expected.items() if odd)
+        packed = product.term_matrix(build=False) is not None
+        assert packed == (rows >= sortkernel.KERNEL_MIN_ROWS)
 
     @given(large_terms=terms_strategy, small_terms=st.lists(st.integers(min_value=0, max_value=(1 << 10) - 1),
                                                            unique=True, min_size=1, max_size=6))

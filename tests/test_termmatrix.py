@@ -7,11 +7,14 @@ Two layers are exercised: the :class:`TermMatrix` data structure itself
 must compute identical canonical term sets on arbitrary expressions.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.anf import Anf, Context, sortkernel
+from repro.anf import Anf, Context
 from repro.anf.backend import (
     PackedBackend,
     SetBackend,
@@ -175,12 +178,6 @@ class TestBackendKernelParity:
 
 
 class TestBackendSelection:
-    def test_active_backend_honours_environment(self):
-        import os
-
-        expected = os.environ.get("REPRO_TERM_BACKEND", "packed")
-        assert get_backend().name == expected
-
     def test_set_backend_round_trip(self):
         previous = get_backend().name
         try:
@@ -190,7 +187,7 @@ class TestBackendSelection:
             set_backend(previous)
 
     def test_unknown_backend_rejected(self):
-        for name in ("bogus", "threaded"):
+        for name in ("bogus", "threaded", "native"):
             with pytest.raises(ValueError):
                 set_backend(name)
 
@@ -199,6 +196,30 @@ class TestBackendSelection:
         with using_backend("set"):
             assert get_backend().name == "set"
         assert get_backend().name == before
+
+    def test_using_backend_restores_after_an_error(self):
+        before = get_backend().name
+        with pytest.raises(RuntimeError):
+            with using_backend("set"):
+                raise RuntimeError("boom")
+        assert get_backend().name == before
+
+    def test_packed_is_active_at_import(self):
+        """A fresh interpreter starts on ``packed``: nothing but a call
+        selects the backend."""
+        import subprocess
+        import sys
+
+        import repro
+
+        src = str(Path(repro.__file__).parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.anf.backend import get_backend; print(get_backend().name)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.stdout.strip() == "packed"
 
 
 class TestWideContexts:
@@ -240,7 +261,7 @@ class TestWideMasksOnPackedRows:
     """A matrix-backed expression in a context of more than 64 variables: its
     rows fit a word, but the masks it is queried with need not.  Python-int
     masks past bit 63 overflow ``np.uint64`` arithmetic, so every query must
-    agree with the set backend on both sides of the kernel floor."""
+    agree with the set backend on both kernel bodies."""
 
     WIDTH = 72
 
@@ -250,13 +271,11 @@ class TestWideMasksOnPackedRows:
         var=st.integers(min_value=0, max_value=WIDTH - 1),
         value=st.booleans(),
         tags_mask=st.integers(min_value=0, max_value=(1 << WIDTH) - 1),
-        floor=st.sampled_from([0, 1 << 62]),
     )
     @settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_matches_set_backend(
-        self, monkeypatch, terms, ones_mask, var, value, tags_mask, floor
+        self, kernel_mode, terms, ones_mask, var, value, tags_mask
     ):
-        monkeypatch.setattr(sortkernel, "KERNEL_MIN_ROWS", floor)
         ctx = Context([f"w{i}" for i in range(self.WIDTH)])
         plain = Anf(ctx, terms)
         matrix = TermMatrix.from_terms(terms)
