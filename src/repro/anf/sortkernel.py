@@ -27,14 +27,19 @@ rows.
     of ``scatter_by_tags`` becomes O(tags) vector passes instead of a
     per-term inner loop over the tag bits.
 
-``sort_terms`` / ``merge_disjoint`` / ``xor_merge`` / ``parity_merge``
+``sort_terms`` / ``merge_disjoint`` / ``xor_merge`` / ``parity_merge`` / ``product_rows``
     The construction kernels: pack-and-sort an unordered term stream, union
-    pairwise-disjoint sorted slabs, symmetric-difference two slabs, and
-    reduce a multiset of slabs modulo 2 (terms surviving iff they occur an
-    odd number of times).  ``parity_merge`` is what lets a product or a
-    substitution accumulate *all* its partial term slabs first and cancel
-    them in one sorted sweep, instead of XOR-ing partials one at a time
-    (which is quadratic in the result size).
+    pairwise-disjoint sorted slabs, symmetric-difference two slabs, reduce
+    a multiset of slabs modulo 2 (terms surviving iff they occur an odd
+    number of times), and distribute a small operand over a slab.
+    ``parity_merge`` is what lets a product or a substitution accumulate
+    *all* its partial term slabs first and cancel them in one sorted sweep,
+    instead of XOR-ing partials one at a time (which is quadratic in the
+    result size).  They skip the work their inputs' structure makes moot:
+    a product disjoint from the slab's support cannot cancel, so its slabs
+    merge as sorted runs without a parity sweep; the numpy sweep pays for
+    run boundaries only when some row occurs three times or more; and a
+    lopsided numpy XOR splices the small side into the large one.
 
 ``shared_literal_count`` / ``support_fold`` / ``popcount_rows`` / ``or_into_all`` / ``clear_bits_all`` / ``rows_contain_all``
     Scan helpers: literals shared between two sorted slabs (for the
@@ -54,8 +59,8 @@ Each kernel has at most two bodies, and the platform picks between them:
 the compiled C primitive (:mod:`repro.anf._ckernel`) when the extension
 imported (:data:`_C`), the numpy body otherwise.  Both run at every input
 size, and they return the same rows bit for bit.  ``sort_terms``,
-``merge_disjoint``, ``support_fold`` and the whole-matrix rewrites have no
-C primitive, so only the numpy body.
+``merge_disjoint``, ``parity_merge``, ``support_fold`` and the whole-matrix
+rewrites have no C primitive, so only the numpy body.
 """
 
 from __future__ import annotations
@@ -66,12 +71,14 @@ import numpy as _np
 
 from .cnative import _C
 
-#: Not a kernel threshold — every kernel runs its vector body at every size.
-#: It decides two things outside this module: whether ``Anf.__and__``
-#: builds a matrix for its large operand and distributes the product over
-#: it (:func:`product_rows`), and the shortest row span the cache's record
-#: reader parses straight into a row vector (``engine/cache.py``).  Record
-#: bytes do not depend on it.
+#: Not a body threshold — every kernel runs its vector body at every size.
+#: It decides three things: whether ``Anf.__and__`` builds a matrix for
+#: its large operand and distributes the product over it
+#: (:func:`product_rows`), the shortest row span the cache's record reader
+#: parses straight into a row vector (``engine/cache.py``), and the
+#: smallest large side :func:`xor_merge` splices a small one into (below
+#: it a splice saves a few µs at most, so small XORs keep one merge path).
+#: Record bytes do not depend on it.
 KERNEL_MIN_ROWS = 1024
 
 #: Rows are 64-bit; masks are clipped to the row width before vectorising
@@ -92,6 +99,14 @@ RADIX_MAX_GROUP_BITS = 6
 #: fixed ~4, so the crossover sits at a handful of buckets (measured ~1.8x
 #: on the comparator's 16-bucket 14.3 M-row split).
 RADIX_ARGSORT_MIN_BUCKETS = 4
+
+#: The numpy body of :func:`xor_merge` splices the smaller operand into the
+#: larger one when it holds at most 1/512 of the larger one's rows: a binary
+#: search per small row plus one slice copy per small row, instead of
+#: sorting both.  Each small row costs about 0.6 µs of Python, so from about
+#: 1/256 on the sort is cheaper (2-vCPU box: 1M rows take 2.3 ms against
+#: 5.8 ms at 2048 small rows, 6.3 against 5.6 ms at 4096).
+LOPSIDED_RATIO = 512
 
 
 def _frozen(rows: _np.ndarray) -> _np.ndarray:
@@ -425,9 +440,15 @@ def merge_disjoint(slabs: Sequence[_np.ndarray]) -> _np.ndarray:
 def xor_merge(left: _np.ndarray, right: _np.ndarray) -> _np.ndarray:
     """Symmetric difference of two sorted slabs of distinct rows.
 
-    Each operand holds distinct rows, so a shared row occurs exactly twice in
-    the concatenation and the adjacent duplicates cancel (the C primitive
-    does the same with one two-pointer merge).
+    Each operand holds distinct rows, so a shared row occurs exactly twice
+    in the concatenation and the adjacent duplicates cancel (the C
+    primitive does the same with one two-pointer merge).  On the numpy body
+    a lopsided pair — the small side at most 1/:data:`LOPSIDED_RATIO` of a
+    large side of at least :data:`KERNEL_MIN_ROWS` rows — is spliced
+    instead: the small rows are binary-searched into the large slab, hits
+    cancel and the rest are copied in between its runs (:func:`_splice`).
+    The one-pass C merge is at least as fast as that copy, so it takes
+    every pair.
     """
     if not len(left):
         return right
@@ -435,13 +456,40 @@ def xor_merge(left: _np.ndarray, right: _np.ndarray) -> _np.ndarray:
         return left
     if _C is not None:
         return _c_rows(_C.xor_merge(left, right))
+    small, large = (left, right) if len(left) <= len(right) else (right, left)
+    if len(large) >= KERNEL_MIN_ROWS and len(small) * LOPSIDED_RATIO <= len(large):
+        return _frozen(_splice(large, small))
     merged = _np.concatenate((left, right))
     merged.sort(kind="stable")
-    dup = merged[1:] == merged[:-1]
-    keep = _np.ones(len(merged), dtype=bool)
-    keep[1:] &= ~dup
-    keep[:-1] &= ~dup
-    return _frozen(merged[keep])
+    return _frozen(_odd_runs(merged))
+
+
+def _splice(large: _np.ndarray, small: _np.ndarray) -> _np.ndarray:
+    """``xor_merge`` of a large slab and a much smaller one, by insertion.
+
+    Rows of ``small`` found in ``large`` cancel; the others go where
+    ``searchsorted`` puts them.  The large slab is copied in the runs
+    between those points, one slice assignment (a ``memcpy``) each, so the
+    output costs one pass over the large slab and no index or mask arrays.
+    """
+    pos = _np.searchsorted(large, small)
+    # A row beyond the last one gets ``len(large)``; clipping it to the last
+    # index cannot fake a hit, because that row is larger than every row.
+    hit = large.take(pos, mode="clip") == small
+    out = _np.empty(len(large) + len(small) - 2 * int(_np.count_nonzero(hit)),
+                    dtype=_np.uint64)
+    src = dst = 0
+    for at, row, cancels in zip(pos.tolist(), small.tolist(), hit.tolist()):
+        out[dst : dst + at - src] = large[src:at]
+        dst += at - src
+        if cancels:
+            src = at + 1
+        else:
+            out[dst] = row
+            dst += 1
+            src = at
+    out[dst:] = large[src:]
+    return out
 
 
 def parity_merge(slabs: Sequence[_np.ndarray]) -> _np.ndarray:
@@ -451,57 +499,119 @@ def parity_merge(slabs: Sequence[_np.ndarray]) -> _np.ndarray:
     slabs — the canonical term set of the XOR of the expressions the slabs
     represent.  One sorted sweep replaces the quadratic one-at-a-time XOR
     accumulation of products and substitutions.  Slabs need not be sorted
-    or duplicate-free (product slabs ``rows | term`` are neither when the
-    term overlaps the support), so even a single slab is swept.
+    or duplicate-free, so even a single slab is swept.  The sweep costs what
+    the slabs cancel: a merge that cancels nothing returns the sorted
+    concatenation itself (:func:`_odd_runs`).
+
+    Slabs from expressions are sorted runs, which timsort ("stable") merges
+    instead of re-partitioning from scratch; that beats the C radix
+    ``sort_parity``, so both bodies run it (comparator-14's verify, 2-vCPU
+    box: 99–144 ms against 234–264 ms with ``sort_parity``).
     """
     alive = [s for s in slabs if len(s)]
     if not alive:
         return EMPTY
     # A fresh (writable) copy even for one slab: the sweep sorts in place.
-    # Slabs from expressions are sorted runs — timsort ("stable") gallops
-    # through them instead of re-partitioning from scratch.
-    return _frozen(_odd_rows(_np.concatenate(alive), kind="stable"))
+    merged = _np.concatenate(alive)
+    merged.sort(kind="stable")
+    return _frozen(_odd_runs(merged))
 
 
-def _odd_rows(rows: _np.ndarray, kind: Optional[str] = None) -> _np.ndarray:
-    """Sort a fresh writable slab in place down to its odd-count rows.
+def _odd_rows(rows: _np.ndarray) -> _np.ndarray:
+    """Sort a fresh writable, run-free slab in place down to its odd-count rows.
 
     The C ``sort_parity`` radix-sorts and compacts the survivors into the
     prefix; the in-place resize then reallocates the buffer to them, so the
     cancelled tail is freed instead of pinned behind a view.  The numpy body
-    sorts with ``kind`` and keeps the odd-length runs.
+    sorts (introsort beats timsort on run-free data) and keeps the
+    odd-length runs.
     """
     if _C is not None:
         rows.resize(_C.sort_parity(rows), refcheck=False)
         return rows
-    rows.sort(kind=kind)
+    rows.sort()
     return _odd_runs(rows)
 
 
-def _odd_runs(merged):
-    """Rows of a sorted vector occurring an odd number of times."""
-    edges = _np.flatnonzero(merged[1:] != merged[:-1]) + 1
+def _odd_runs(rows: _np.ndarray) -> _np.ndarray:
+    """Rows of a sorted vector occurring an odd number of times.
+
+    One ``eq`` pass marks each row equal to its successor.  Nothing equal:
+    the vector itself is the answer.  No row three times: the survivors are
+    the rows equal to neither neighbour, picked with boolean masks alone.
+    Only multiplicities of three or more pay for run boundaries (an
+    ``int64`` per run).
+    """
+    eq = rows[1:] == rows[:-1]
+    if not eq.any():
+        return rows
+    if not (eq[1:] & eq[:-1]).any():
+        keep = _np.empty(len(rows), dtype=bool)
+        _np.invert(eq, out=eq)
+        keep[0] = True
+        keep[1:] = eq
+        keep[:-1] &= eq
+        return rows[keep]
+    edges = _np.flatnonzero(~eq) + 1
     starts = _np.concatenate(([0], edges))
-    ends = _np.concatenate((edges, [len(merged)]))
+    ends = _np.concatenate((edges, [len(rows)]))
     odd = ((ends - starts) & 1).astype(bool)
-    return merged[starts[odd]]
+    return rows[starts[odd]]
 
 
 def product_rows(large: _np.ndarray, small_terms: Sequence[int]) -> _np.ndarray:
     """Sorted canonical rows of ``XOR(small_terms) * large``.
 
-    Each small term contributes one vectorised ``row | term`` slab; the
-    slabs reduce mod 2 in one sorted parity sweep (a product term can repeat
-    — ``r1 | t1 == r2 | t2`` — whenever the factors overlap, so plain
+    The small terms first reduce mod 2 (a term listed twice cancels).  When
+    no remaining term shares a variable with the slab's support,
+    ``(row, term) -> row | term`` is injective: every slab ``large | term``
+    ascends, no two slabs share a row, and nothing can cancel.  Then the
+    slabs are written into one buffer in ascending term order and merged as
+    sorted runs (:func:`_disjoint_product`), on both bodies, with no parity
+    sweep.  Otherwise each term contributes one ``row | term`` slab and the
+    slabs reduce mod 2 in one sorted parity sweep (a product term can
+    repeat — ``r1 | t1 == r2 | t2`` — when the factors overlap, so plain
     dedup is not enough).  A divide-and-conquer split bounds the transient
-    slab memory for products where both operands are large; the halves are
+    slab memory of that sweep when both operands are large; the halves are
     themselves canonical, so they recombine with one :func:`xor_merge`.
     An empty operand on either side is the zero product.
     """
-    terms = [term & ROW_MASK for term in small_terms]
+    terms: set = set()
+    for term in small_terms:
+        terms ^= {term & ROW_MASK}
     if not terms or not len(large):
         return EMPTY
-    return _frozen(_product_rows_rec(large, terms))
+    ordered = sorted(terms)
+    span = 0
+    for term in ordered:
+        span |= term
+    if span & support_fold(large) == 0:
+        return _frozen(_disjoint_product(large, ordered))
+    return _frozen(_product_rows_rec(large, ordered))
+
+
+def _disjoint_product(rows: _np.ndarray, terms: List[int]) -> _np.ndarray:
+    """``rows | term`` for ascending ``terms`` disjoint from the support.
+
+    Each slab ascends, so the buffer is a sequence of sorted runs, no two of
+    which share a row; it is already sorted when every run starts above the
+    previous one's end, and one stable sort (timsort merges runs) sorts it
+    otherwise.
+    """
+    out = _term_slabs(rows, terms)
+    n = len(rows)
+    if any(out[i * n - 1] > out[i * n] for i in range(1, len(terms))):
+        out.sort(kind="stable")
+    return out
+
+
+def _term_slabs(rows: _np.ndarray, terms: List[int]) -> _np.ndarray:
+    """One fresh buffer holding the slab ``rows | term`` of each term in turn."""
+    n = len(rows)
+    out = _np.empty(len(terms) * n, dtype=_np.uint64)
+    for i, term in enumerate(terms):
+        _np.bitwise_or(rows, _np.uint64(term), out=out[i * n : (i + 1) * n])
+    return out
 
 
 #: Transient row budget of one product parity sweep (~128 MB of u64 rows).
@@ -510,13 +620,9 @@ PRODUCT_SLAB_ROWS = 1 << 24
 
 def _product_rows_rec(rows: _np.ndarray, terms: List[int]) -> _np.ndarray:
     if len(terms) * len(rows) <= PRODUCT_SLAB_ROWS or len(terms) <= 2:
-        n = len(rows)
-        out = _np.empty(len(terms) * n, dtype=_np.uint64)
-        for i, term in enumerate(terms):
-            _np.bitwise_or(rows, _np.uint64(term), out=out[i * n : (i + 1) * n])
-        # Product slabs are unsorted whenever a term overlaps the support;
-        # introsort beats timsort on run-free data.
-        return _odd_rows(out)
+        # Some term overlaps the support (disjoint products never get here),
+        # so the slabs are unsorted and may collide.
+        return _odd_rows(_term_slabs(rows, terms))
     mid = len(terms) // 2
     return xor_merge(
         _product_rows_rec(rows, terms[:mid]), _product_rows_rec(rows, terms[mid:])

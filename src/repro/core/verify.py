@@ -137,6 +137,7 @@ def flatten_port_via_dag(
     decomposition: "Decomposition",
     expr: Anf,
     product_memo: Optional[Dict[int, Anf]] = None,
+    layers: Optional[tuple[int, Dict[int, int], Dict[int, Anf]]] = None,
 ) -> Optional[Anf]:
     """Expand one output expression to the primary inputs along the DAG.
 
@@ -145,11 +146,13 @@ def flatten_port_via_dag(
     levelled DAG the engine guarantees (a definition referencing its own or
     a higher level — only corrupted results do this) — callers fall back to
     the ``flatten`` reference so the verdict stays exact either way.
+    ``layers`` is the hierarchy's ``_block_layers``; callers expanding many
+    ports pass it in so it is computed once, not once per port.
     """
     ctx = decomposition.ctx
-    block_mask, level_of_bit, definition_of_bit = _block_layers(
-        decomposition.blocks, ctx
-    )
+    if layers is None:
+        layers = _block_layers(decomposition.blocks, ctx)
+    block_mask, level_of_bit, definition_of_bit = layers
     current = expr
     sweeps_left = len(set(level_of_bit.values())) if level_of_bit else 0
     while current.support_mask & block_mask:
@@ -192,15 +195,17 @@ def _expanded_ports(
 ) -> Iterator[tuple[str, Anf, Anf]]:
     """Yield ``(port, flattened, reference)`` for every original port.
 
-    Expansion runs along the DAG with one shared per-pattern product memo;
-    a non-levelled hierarchy (corrupted input) defers to the exact
-    ``flatten`` reference, computed once — it expands every port anyway.
+    Expansion runs along the DAG with one shared per-pattern product memo
+    and one set of block layers; a non-levelled hierarchy (corrupted input)
+    defers to the exact ``flatten`` reference, computed once — it expands
+    every port anyway.
     """
     product_memo: Dict[int, Anf] = {}
+    layers = _block_layers(decomposition.blocks, decomposition.ctx)
     reference_flatten: Optional[Dict[str, Anf]] = None
     for port, reference in decomposition.original.items():
         flattened = flatten_port_via_dag(
-            decomposition, decomposition.outputs[port], product_memo
+            decomposition, decomposition.outputs[port], product_memo, layers
         )
         if flattened is None:
             if reference_flatten is None:

@@ -12,6 +12,8 @@ The construction kernels (``sort_terms``/``merge_disjoint``/``xor_merge``/
 semantics, and the vectorised monomial vocabulary against the dict indexer.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -413,6 +415,159 @@ class TestConstructionKernels:
         assert sortkernel.clear_bits_all(tagged, tag).tolist() == slab.tolist()
 
 
+def _odd_product(large, small):
+    """Brute-force ``XOR(small) * large``: count every ``row | term`` pair."""
+    counts = {}
+    for t in small:
+        for r in large:
+            counts[r | t] = counts.get(r | t, 0) + 1
+    return sorted(r for r, c in counts.items() if c & 1)
+
+
+def _refuse_sweep(*args, **kwargs):
+    raise AssertionError("a disjoint product reached the parity sweep")
+
+
+#: Large rows above bit 8 and small terms below it: disjoint supports whose
+#: slabs ``large | term`` interleave row by row.
+high_rows = st.lists(st.integers(min_value=1, max_value=(1 << 32) - 1).map(lambda r: r << 8),
+                     unique=True, min_size=1, max_size=60)
+low_terms = st.lists(st.integers(min_value=0, max_value=(1 << 8) - 1), min_size=1, max_size=8)
+
+
+class TestStructurePaths:
+    """Each shortcut the construction kernels take on structured inputs —
+    disjoint products, lopsided XORs, sweeps with nothing or only pairs to
+    cancel — against the brute-force oracles, on both bodies."""
+
+    @given(large=terms_strategy, small=st.lists(
+        st.integers(min_value=0, max_value=(1 << 12) - 1), min_size=1, max_size=6))
+    @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_duplicated_small_terms_cancel(self, kernel_mode, large, small):
+        """A term listed twice cancels, whether or not the operands overlap."""
+        doubled = small + small[:1] + small[:1] + small[1:2]
+        assert sortkernel.product_rows(_slab(large), doubled).tolist() == _odd_product(
+            large, doubled)
+
+    @given(large=high_rows, small=low_terms)
+    @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_disjoint_product_never_sweeps(self, kernel_mode, monkeypatch, large, small):
+        """Disjoint supports: interleaving slabs (constant-1 term and repeats
+        included) merge as sorted runs without reaching ``_odd_rows``."""
+        monkeypatch.setattr(sortkernel, "_odd_rows", _refuse_sweep)
+        for terms in (small, [0, *small], small + small[:1]):
+            got = sortkernel.product_rows(_slab(large), terms)
+            _assert_rows(got)
+            assert got.tolist() == _odd_product(large, terms)
+
+    @pytest.mark.parametrize("terms", [[0], [0, 1], [1, 0, 2, 3], [3, 3], [0, 5, 0]])
+    def test_constant_one_term(self, kernel_mode, terms):
+        large = [r << 4 for r in (1, 2, 7, 9, 30)]
+        assert sortkernel.product_rows(_slab(large), terms).tolist() == _odd_product(
+            large, terms)
+
+    def test_disjoint_slabs_in_term_order(self, kernel_mode):
+        """Terms above the support: each slab starts above the previous one's
+        end, so the buffer is sorted as written."""
+        large = list(range(1, 300))
+        small = [1 << 20, 1 << 21, (1 << 20) | (1 << 21)]
+        assert sortkernel.product_rows(_slab(large), small).tolist() == _odd_product(
+            large, small)
+
+    @pytest.mark.parametrize("rows", [sortkernel.KERNEL_MIN_ROWS - 1,
+                                      sortkernel.KERNEL_MIN_ROWS,
+                                      16 * sortkernel.KERNEL_MIN_ROWS])
+    @given(data=st.data())
+    @settings(max_examples=20, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_lopsided_xor(self, kernel_mode, monkeypatch, rows, data):
+        """A small side against a large slab: hits at the first and last
+        rows, rows below, between and beyond the slab, full cancellation."""
+        large = [3 * i + 5 for i in range(rows)]
+        budget = rows // sortkernel.LOPSIDED_RATIO
+        hits = data.draw(st.lists(st.sampled_from([0, rows - 1, rows // 2, 1]),
+                                  unique=True, max_size=budget), label="hits")
+        fresh = data.draw(st.lists(st.sampled_from([0, 1, 4, 3 * rows + 5, 3 * rows + 9, 7]),
+                                   unique=True, max_size=budget - len(hits)), label="fresh")
+        small = sorted({large[i] for i in hits} | set(fresh))
+        if not small:
+            small = [large[0]]
+        spliced = []
+        real_splice = sortkernel._splice
+        monkeypatch.setattr(sortkernel, "_splice",
+                            lambda *args: spliced.append(1) or real_splice(*args))
+        for left, right in ((large, small), (small, large)):
+            got = sortkernel.xor_merge(_slab(left), _slab(right))
+            _assert_rows(got)
+            assert got.tolist() == sorted(set(left) ^ set(right))
+        if kernel_mode == "numpy":
+            assert len(spliced) == (2 if rows >= sortkernel.KERNEL_MIN_ROWS else 0)
+
+    @pytest.mark.parametrize("rows", [sortkernel.KERNEL_MIN_ROWS, 3 * sortkernel.KERNEL_MIN_ROWS])
+    def test_lopsided_xor_cancels_fully(self, kernel_mode, monkeypatch, rows):
+        """Every small row is a hit (first, last, middle): all of them cancel."""
+        large = list(range(10, 10 + rows))
+        small = [large[i] for i in (0, rows - 1, rows // 3)][: rows // sortkernel.LOPSIDED_RATIO]
+        spliced = []
+        real_splice = sortkernel._splice
+        monkeypatch.setattr(sortkernel, "_splice",
+                            lambda *args: spliced.append(1) or real_splice(*args))
+        assert sortkernel.xor_merge(_slab(large), _slab(small)).tolist() == sorted(
+            set(large) - set(small))
+        assert len(spliced) == (kernel_mode == "numpy")
+
+    @pytest.mark.parametrize("most", [1, 2, 5], ids=["distinct", "pairs", "up-to-5"])
+    @given(data=st.data())
+    @settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_odd_runs(self, kernel_mode, most, data):
+        """Multiplicities of 1, at most 2, and 3 to 5: the sweep keeps the
+        odd ones; the parity merge of the same rows agrees."""
+        counts = data.draw(st.dictionaries(
+            st.integers(min_value=0, max_value=(1 << 40) - 1),
+            st.integers(min_value=1, max_value=most), max_size=40), label="counts")
+        if most == 5 and counts:
+            counts[min(counts)] = 3  # at least one run of three or more
+        rows = np.array(sorted(r for r, c in counts.items() for _ in range(c)),
+                        dtype=np.uint64)
+        expected = sorted(r for r, c in counts.items() if c & 1)
+        result = sortkernel._odd_runs(rows.copy())
+        assert result.tolist() == expected
+        if most == 1:
+            kept = rows.copy()
+            assert sortkernel._odd_runs(kept) is kept  # nothing repeats: no copy
+        halves = [rows[::2].copy(), rows[1::2].copy()]
+        assert sortkernel.parity_merge(halves).tolist() == expected
+
+
+class TestMemoryCeilings:
+    """Peak traced allocation of the numpy bodies on structured inputs.
+    tracemalloc counts numpy buffers, and the peak is deterministic for
+    fixed inputs, so these ceilings hold on any machine."""
+
+    @staticmethod
+    def peak_bytes(kernel, *args):
+        tracemalloc.start()
+        try:
+            result = kernel(*args)
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    def test_disjoint_product_peaks_at_its_output(self, monkeypatch):
+        monkeypatch.setattr(sortkernel, "_C", None)
+        large = np.arange(1 << 20, dtype=np.uint64) << np.uint64(3)
+        peak, out = self.peak_bytes(sortkernel.product_rows, large, list(range(8)))
+        assert len(out) == 8 << 20
+        assert peak <= 1.25 * out.nbytes
+
+    def test_cancel_free_parity_merge_peaks_near_its_input(self, monkeypatch):
+        monkeypatch.setattr(sortkernel, "_C", None)
+        evens = np.arange(0, 4 << 20, 2, dtype=np.uint64)
+        odds = evens + np.uint64(1)
+        peak, out = self.peak_bytes(sortkernel.parity_merge, [evens, odds])
+        assert len(out) == 4 << 20
+        assert peak <= 2.5 * (evens.nbytes + odds.nbytes)
+
+
 class TestFullWidthRows:
     """Rows that use bit 63, the top of a ``uint64``.  The per-term paths
     once answered every small slab in Python ints; the vector bodies now do,
@@ -497,7 +652,7 @@ KERNEL_CALLS = [
     ("split_build_by_group", ([(1 << 50, _slab([1, 2, 3]))], 0b10), "split_radix"),
     ("scatter_tag", (_slab([1, 3, 4]), 0b1), "scatter_tag"),
     ("xor_merge", (_slab([1, 2]), _slab([2, 5])), "xor_merge"),
-    ("parity_merge", ([_slab([1, 2]), _slab([2, 5])],), "sort_parity"),
+    ("parity_merge", ([_slab([1, 2]), _slab([2, 5])],), None),
     ("product_rows", (_slab([1, 2]), [4, 6]), "sort_parity"),
     ("shared_literal_count", (_slab([3, 5]), _slab([5, 6])), "shared_literal_count"),
     ("popcount_rows", (_slab([3, 5, 8]),), "popcount_rows"),

@@ -18,6 +18,7 @@ from repro.core import (
     DecompositionOptions,
     VerificationError,
     check_rewrite_invariant,
+    flatten_port_via_dag,
     progressive_decomposition,
     semantically_equal,
     substitute_bits,
@@ -25,6 +26,7 @@ from repro.core import (
     verify_ports,
 )
 from repro.core.decompose import Block
+from repro.core.verify import _block_layers
 from repro.engine import (
     BasisExtractionPass,
     GroupingPass,
@@ -98,6 +100,23 @@ class TestVerdictParity:
             assert decomposition.verify(method="flatten") is True
             assert verify_decomposition(decomposition) is True
             assert all(verify_ports(decomposition).values())
+
+    @given(outputs_terms=terms_strategy)
+    @settings(max_examples=25, deadline=None)
+    def test_port_expansion_with_and_without_shared_layers(self, outputs_terms):
+        """``flatten_port_via_dag`` called per port, the exported form,
+        expands exactly as with the block layers computed once and passed
+        in; both equal the ``flatten`` reference."""
+        try:
+            decomposition = _decompose(outputs_terms)
+        except RuntimeError:
+            return
+        layers = _block_layers(decomposition.blocks, decomposition.ctx)
+        reference = decomposition.flatten()
+        for port, expr in decomposition.outputs.items():
+            alone = flatten_port_via_dag(decomposition, expr)
+            shared = flatten_port_via_dag(decomposition, expr, {}, layers)
+            assert alone.terms == shared.terms == reference[port].terms
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @given(
