@@ -358,7 +358,9 @@ class Anf:
             # never round-trip through frozensets.
             matrix = large.term_matrix(build=True)
             if matrix is not None:
-                rows = sortkernel.product_rows(matrix.words, small.term_list())
+                rows = sortkernel.product_rows(
+                    matrix.words, small.term_list(), large.support_mask
+                )
                 return Anf._from_matrix(self._ctx, TermMatrix(rows))
         if disjoint:
             # Disjoint supports make (left, right) -> left | right injective

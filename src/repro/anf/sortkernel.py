@@ -37,9 +37,8 @@ rows.
     instead of XOR-ing partials one at a time (which is quadratic in the
     result size).  They skip the work their inputs' structure makes moot:
     a product disjoint from the slab's support cannot cancel, so its slabs
-    merge as sorted runs without a parity sweep; the numpy sweep pays for
-    run boundaries only when some row occurs three times or more; and a
-    lopsided numpy XOR splices the small side into the large one.
+    merge as sorted runs without a parity sweep, and the numpy sweep pays
+    for run boundaries only when some row occurs three times or more.
 
 ``shared_literal_count`` / ``support_fold`` / ``popcount_rows`` / ``or_into_all`` / ``clear_bits_all`` / ``rows_contain_all``
     Scan helpers: literals shared between two sorted slabs (for the
@@ -71,14 +70,12 @@ import numpy as _np
 
 from .cnative import _C
 
-#: Not a body threshold — every kernel runs its vector body at every size.
-#: It decides three things: whether ``Anf.__and__`` builds a matrix for
-#: its large operand and distributes the product over it
-#: (:func:`product_rows`), the shortest row span the cache's record reader
-#: parses straight into a row vector (``engine/cache.py``), and the
-#: smallest large side :func:`xor_merge` splices a small one into (below
-#: it a splice saves a few µs at most, so small XORs keep one merge path).
-#: Record bytes do not depend on it.
+#: Not a kernel threshold — every kernel runs its vector body at every size.
+#: It decides two things outside this module: whether ``Anf.__and__``
+#: builds a matrix for its large operand and distributes the product over
+#: it (:func:`product_rows`), and the shortest row span the cache's record
+#: reader parses straight into a row vector (``engine/cache.py``).  Record
+#: bytes do not depend on it.
 KERNEL_MIN_ROWS = 1024
 
 #: Rows are 64-bit; masks are clipped to the row width before vectorising
@@ -99,14 +96,6 @@ RADIX_MAX_GROUP_BITS = 6
 #: fixed ~4, so the crossover sits at a handful of buckets (measured ~1.8x
 #: on the comparator's 16-bucket 14.3 M-row split).
 RADIX_ARGSORT_MIN_BUCKETS = 4
-
-#: The numpy body of :func:`xor_merge` splices the smaller operand into the
-#: larger one when it holds at most 1/512 of the larger one's rows: a binary
-#: search per small row plus one slice copy per small row, instead of
-#: sorting both.  Each small row costs about 0.6 µs of Python, so from about
-#: 1/256 on the sort is cheaper (2-vCPU box: 1M rows take 2.3 ms against
-#: 5.8 ms at 2048 small rows, 6.3 against 5.6 ms at 4096).
-LOPSIDED_RATIO = 512
 
 
 def _frozen(rows: _np.ndarray) -> _np.ndarray:
@@ -442,13 +431,9 @@ def xor_merge(left: _np.ndarray, right: _np.ndarray) -> _np.ndarray:
 
     Each operand holds distinct rows, so a shared row occurs exactly twice
     in the concatenation and the adjacent duplicates cancel (the C
-    primitive does the same with one two-pointer merge).  On the numpy body
-    a lopsided pair — the small side at most 1/:data:`LOPSIDED_RATIO` of a
-    large side of at least :data:`KERNEL_MIN_ROWS` rows — is spliced
-    instead: the small rows are binary-searched into the large slab, hits
-    cancel and the rest are copied in between its runs (:func:`_splice`).
-    The one-pass C merge is at least as fast as that copy, so it takes
-    every pair.
+    primitive does the same with one two-pointer merge).  Timsort merges
+    the two sorted runs, and a pair that shares no row returns the merged
+    buffer itself (:func:`_odd_runs`).
     """
     if not len(left):
         return right
@@ -456,40 +441,9 @@ def xor_merge(left: _np.ndarray, right: _np.ndarray) -> _np.ndarray:
         return left
     if _C is not None:
         return _c_rows(_C.xor_merge(left, right))
-    small, large = (left, right) if len(left) <= len(right) else (right, left)
-    if len(large) >= KERNEL_MIN_ROWS and len(small) * LOPSIDED_RATIO <= len(large):
-        return _frozen(_splice(large, small))
     merged = _np.concatenate((left, right))
     merged.sort(kind="stable")
     return _frozen(_odd_runs(merged))
-
-
-def _splice(large: _np.ndarray, small: _np.ndarray) -> _np.ndarray:
-    """``xor_merge`` of a large slab and a much smaller one, by insertion.
-
-    Rows of ``small`` found in ``large`` cancel; the others go where
-    ``searchsorted`` puts them.  The large slab is copied in the runs
-    between those points, one slice assignment (a ``memcpy``) each, so the
-    output costs one pass over the large slab and no index or mask arrays.
-    """
-    pos = _np.searchsorted(large, small)
-    # A row beyond the last one gets ``len(large)``; clipping it to the last
-    # index cannot fake a hit, because that row is larger than every row.
-    hit = large.take(pos, mode="clip") == small
-    out = _np.empty(len(large) + len(small) - 2 * int(_np.count_nonzero(hit)),
-                    dtype=_np.uint64)
-    src = dst = 0
-    for at, row, cancels in zip(pos.tolist(), small.tolist(), hit.tolist()):
-        out[dst : dst + at - src] = large[src:at]
-        dst += at - src
-        if cancels:
-            src = at + 1
-        else:
-            out[dst] = row
-            dst += 1
-            src = at
-    out[dst:] = large[src:]
-    return out
 
 
 def parity_merge(slabs: Sequence[_np.ndarray]) -> _np.ndarray:
@@ -559,11 +513,15 @@ def _odd_runs(rows: _np.ndarray) -> _np.ndarray:
     return rows[starts[odd]]
 
 
-def product_rows(large: _np.ndarray, small_terms: Sequence[int]) -> _np.ndarray:
+def product_rows(
+    large: _np.ndarray, small_terms: Sequence[int], support: Optional[int] = None
+) -> _np.ndarray:
     """Sorted canonical rows of ``XOR(small_terms) * large``.
 
-    The small terms first reduce mod 2 (a term listed twice cancels).  When
-    no remaining term shares a variable with the slab's support,
+    The small terms first reduce mod 2 (a term listed twice cancels).
+    ``support`` is the OR of ``large``'s rows when the caller has it cached
+    (``Anf.__and__`` does); without it the slab is folded here.  When no
+    remaining term shares a variable with that support,
     ``(row, term) -> row | term`` is injective: every slab ``large | term``
     ascends, no two slabs share a row, and nothing can cancel.  Then the
     slabs are written into one buffer in ascending term order and merged as
@@ -585,7 +543,9 @@ def product_rows(large: _np.ndarray, small_terms: Sequence[int]) -> _np.ndarray:
     span = 0
     for term in ordered:
         span |= term
-    if span & support_fold(large) == 0:
+    if support is None:
+        support = support_fold(large)
+    if span & support == 0:
         return _frozen(_disjoint_product(large, ordered))
     return _frozen(_product_rows_rec(large, ordered))
 

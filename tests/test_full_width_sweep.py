@@ -8,7 +8,7 @@ behaviour at full width fails tier-1 immediately.
 
 The 15-bit comparator is the widest full-width circuit (its flat
 Reed-Muller form runs to 14.3M monomials): build, decompose and verify take
-about 2 s and peak near 0.5 GB on the numpy bodies.  It is only included
+about 2.5 s and peak near 0.5 GB on the numpy bodies.  It is only included
 when ``REPRO_FULL_SWEEP=all``, which the no-compiler CI job sets.  Set
 ``REPRO_FULL_SWEEP=0`` to skip the sweep entirely (e.g. on very constrained
 machines).
