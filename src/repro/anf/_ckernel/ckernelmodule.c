@@ -1,13 +1,19 @@
 /* Cache-resident C kernels for the packed term-matrix hot paths.
  *
- * Every function operates on contiguous slabs of native-endian uint64 rows
- * exposed through the buffer protocol (the read-only numpy ``uint64`` row
- * vectors of ``TermMatrix``, or a writable ``bytearray``/numpy scratch slab)
+ * Every function reads contiguous slabs of native-endian uint64 rows
+ * through the buffer protocol (the read-only numpy ``uint64`` row vectors
+ * of ``TermMatrix``), writes row results into fresh ``bytearray`` buffers,
  * and releases the GIL around its hot loop.  The Python-facing contracts —
  * what the inputs mean, when a kernel declines, and the exact result
  * semantics — live in ``repro.anf.sortkernel``,
  * whose kernels call this module when it is built (``repro.anf.cnative``
  * holds the import guard) and run their numpy bodies otherwise.
+ *
+ * Three primitives live here, the ones whose numpy bodies cost a whole job
+ * measurable time: ``split_radix``, ``xor_merge`` and
+ * ``shared_literal_count``.  Every other kernel has only its numpy body; a
+ * C body of the tag scatter, the popcount or the overlapping product's
+ * parity sort was within the noise of whole jobs, or slower.
  *
  * The headline kernel is ``split_radix``: the fused key-compress + bincount
  * + gather radix split that serves both ``split_runs_by_group`` and (via
@@ -24,7 +30,6 @@
 
 #include <stdint.h>
 #include <stdlib.h>
-#include <string.h>
 
 #if defined(__GNUC__) || defined(__clang__)
 #define POPCOUNT64(x) ((int)__builtin_popcountll(x))
@@ -62,9 +67,9 @@ fallback_ctz64(uint64_t x)
 #define MAX_KEY_BITS 16
 
 static int
-u64_view(PyObject *obj, Py_buffer *view, int writable)
+u64_view(PyObject *obj, Py_buffer *view)
 {
-    if (PyObject_GetBuffer(obj, view, writable ? PyBUF_WRITABLE : PyBUF_SIMPLE) != 0)
+    if (PyObject_GetBuffer(obj, view, PyBUF_SIMPLE) != 0)
         return -1;
     if (view->len % 8 != 0) {
         PyBuffer_Release(view);
@@ -162,7 +167,7 @@ py_split_radix(PyObject *self, PyObject *args)
 
         if (nbits == 0 || nbits > max_bits || nbits > MAX_KEY_BITS)
             Py_RETURN_NONE;
-        if (u64_view(rows_obj, &view, 0) < 0)
+        if (u64_view(rows_obj, &view) < 0)
             return NULL;
         rows = (const uint64_t *)view.buf;
         n = view.len / 8;
@@ -258,9 +263,9 @@ py_xor_merge(PyObject *self, PyObject *args)
 
     if (!PyArg_ParseTuple(args, "OO", &a_obj, &b_obj))
         return NULL;
-    if (u64_view(a_obj, &av, 0) < 0)
+    if (u64_view(a_obj, &av) < 0)
         return NULL;
-    if (u64_view(b_obj, &bv, 0) < 0) {
+    if (u64_view(b_obj, &bv) < 0) {
         PyBuffer_Release(&av);
         return NULL;
     }
@@ -301,138 +306,6 @@ py_xor_merge(PyObject *self, PyObject *args)
 }
 
 /* ----------------------------------------------------------------------
- * sort_parity(buffer) -> int
- * In-place LSD radix sort of a writable u64 slab followed by an odd-run
- * sweep; returns the number of surviving rows (the sorted mod-2 reduction
- * occupies the buffer's prefix).  Byte positions where every row agrees
- * are skipped, so 40-bit term universes pay ~5 passes instead of 8.
- * ---------------------------------------------------------------------- */
-static Py_ssize_t
-sort_parity_core(uint64_t *a, Py_ssize_t n, uint64_t *tmp)
-{
-    static const int BYTES = 8;
-    Py_ssize_t hist[8][256];
-    uint64_t *src = a, *dst = tmp;
-    Py_ssize_t i, out;
-    int b;
-
-    memset(hist, 0, sizeof(hist));
-    for (i = 0; i < n; ++i) {
-        uint64_t v = a[i];
-        for (b = 0; b < BYTES; ++b)
-            hist[b][(v >> (b * 8)) & 0xff]++;
-    }
-    for (b = 0; b < BYTES; ++b) {
-        Py_ssize_t offsets[256];
-        Py_ssize_t acc = 0;
-        int v, distinct = 0;
-        for (v = 0; v < 256 && distinct < 2; ++v)
-            if (hist[b][v])
-                ++distinct;
-        if (distinct < 2)
-            continue; /* all rows share this byte: the pass is a no-op */
-        for (v = 0; v < 256; ++v) {
-            offsets[v] = acc;
-            acc += hist[b][v];
-        }
-        for (i = 0; i < n; ++i) {
-            uint64_t row = src[i];
-            dst[offsets[(row >> (b * 8)) & 0xff]++] = row;
-        }
-        {
-            uint64_t *swap = src;
-            src = dst;
-            dst = swap;
-        }
-    }
-    if (src != a)
-        memcpy(a, src, (size_t)n * 8);
-    out = 0;
-    i = 0;
-    while (i < n) {
-        Py_ssize_t j = i + 1;
-        while (j < n && a[j] == a[i])
-            ++j;
-        if ((j - i) & 1)
-            a[out++] = a[i];
-        i = j;
-    }
-    return out;
-}
-
-static PyObject *
-py_sort_parity(PyObject *self, PyObject *args)
-{
-    PyObject *obj;
-    Py_buffer view;
-    uint64_t *tmp;
-    Py_ssize_t n, surviving;
-
-    if (!PyArg_ParseTuple(args, "O", &obj))
-        return NULL;
-    if (u64_view(obj, &view, 1) < 0)
-        return NULL;
-    n = view.len / 8;
-    if (n == 0) {
-        PyBuffer_Release(&view);
-        return PyLong_FromSsize_t(0);
-    }
-    tmp = (uint64_t *)malloc((size_t)n * 8);
-    if (!tmp) {
-        PyBuffer_Release(&view);
-        return PyErr_NoMemory();
-    }
-    Py_BEGIN_ALLOW_THREADS
-    surviving = sort_parity_core((uint64_t *)view.buf, n, tmp);
-    Py_END_ALLOW_THREADS
-    free(tmp);
-    PyBuffer_Release(&view);
-    return PyLong_FromSsize_t(surviving);
-}
-
-/* ----------------------------------------------------------------------
- * scatter_tag(rows, bit) -> bytearray
- * Rows intersecting ``bit``, with those bits cleared: one filtering pass.
- * ---------------------------------------------------------------------- */
-static PyObject *
-py_scatter_tag(PyObject *self, PyObject *args)
-{
-    PyObject *obj, *out;
-    unsigned long long bit_arg;
-    Py_buffer view;
-    const uint64_t *rows;
-    uint64_t *dst, bit;
-    Py_ssize_t n, i, k = 0;
-
-    if (!PyArg_ParseTuple(args, "OK", &obj, &bit_arg))
-        return NULL;
-    if (u64_view(obj, &view, 0) < 0)
-        return NULL;
-    n = view.len / 8;
-    out = PyByteArray_FromStringAndSize(NULL, n * 8);
-    if (!out) {
-        PyBuffer_Release(&view);
-        return NULL;
-    }
-    rows = (const uint64_t *)view.buf;
-    dst = (uint64_t *)PyByteArray_AS_STRING(out);
-    bit = (uint64_t)bit_arg;
-    Py_BEGIN_ALLOW_THREADS
-    for (i = 0; i < n; ++i) {
-        uint64_t row = rows[i];
-        if (row & bit)
-            dst[k++] = row & ~bit;
-    }
-    Py_END_ALLOW_THREADS
-    PyBuffer_Release(&view);
-    if (PyByteArray_Resize(out, k * 8) < 0) {
-        Py_DECREF(out);
-        return NULL;
-    }
-    return out;
-}
-
-/* ----------------------------------------------------------------------
  * shared_literal_count(a, b) -> int
  * Total set bits over the rows present in both ascending slabs: one
  * two-pointer intersection with popcounts, no allocations.
@@ -448,9 +321,9 @@ py_shared_literal_count(PyObject *self, PyObject *args)
 
     if (!PyArg_ParseTuple(args, "OO", &a_obj, &b_obj))
         return NULL;
-    if (u64_view(a_obj, &av, 0) < 0)
+    if (u64_view(a_obj, &av) < 0)
         return NULL;
-    if (u64_view(b_obj, &bv, 0) < 0) {
+    if (u64_view(b_obj, &bv) < 0) {
         PyBuffer_Release(&av);
         return NULL;
     }
@@ -476,47 +349,13 @@ py_shared_literal_count(PyObject *self, PyObject *args)
     return PyLong_FromUnsignedLongLong(total);
 }
 
-/* ----------------------------------------------------------------------
- * popcount_rows(rows) -> int
- * Total set bits over a slab (the literal count of a matrix).
- * ---------------------------------------------------------------------- */
-static PyObject *
-py_popcount_rows(PyObject *self, PyObject *args)
-{
-    PyObject *obj;
-    Py_buffer view;
-    const uint64_t *rows;
-    Py_ssize_t n, i;
-    unsigned long long total = 0;
-
-    if (!PyArg_ParseTuple(args, "O", &obj))
-        return NULL;
-    if (u64_view(obj, &view, 0) < 0)
-        return NULL;
-    rows = (const uint64_t *)view.buf;
-    n = view.len / 8;
-    Py_BEGIN_ALLOW_THREADS
-    for (i = 0; i < n; ++i)
-        total += (unsigned long long)POPCOUNT64(rows[i]);
-    Py_END_ALLOW_THREADS
-    PyBuffer_Release(&view);
-    return PyLong_FromUnsignedLongLong(total);
-}
-
 static PyMethodDef ckernel_methods[] = {
     {"split_radix", py_split_radix, METH_VARARGS,
      "split_radix(rows, group_mask, or_mask, max_bits) -> (parts, buckets, remainder) | None"},
     {"xor_merge", py_xor_merge, METH_VARARGS,
      "xor_merge(a, b) -> bytearray: symmetric difference of two ascending distinct-row slabs"},
-    {"sort_parity", py_sort_parity, METH_VARARGS,
-     "sort_parity(buffer) -> int: radix-sort a writable u64 slab in place, keep odd-count rows "
-     "in its prefix, return how many survived"},
-    {"scatter_tag", py_scatter_tag, METH_VARARGS,
-     "scatter_tag(rows, bit) -> bytearray: rows intersecting bit, with the bit cleared"},
     {"shared_literal_count", py_shared_literal_count, METH_VARARGS,
      "shared_literal_count(a, b) -> int: popcount of the rows present in both ascending slabs"},
-    {"popcount_rows", py_popcount_rows, METH_VARARGS,
-     "popcount_rows(rows) -> int: total set bits over a u64 slab"},
     {NULL, NULL, 0, NULL},
 };
 

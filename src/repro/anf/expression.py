@@ -282,8 +282,8 @@ class Anf:
     def literal_count(self) -> int:
         """Total number of literal occurrences (the paper's size metric, cached).
 
-        Matrix-backed expressions answer with one C popcount of the packed
-        view instead of a per-term sum.
+        Matrix-backed expressions answer with one vectorised popcount of
+        the packed view instead of a per-term sum.
         """
         count = self._literal_count
         if count is None:

@@ -54,12 +54,14 @@ All kernels are exact and representation-transparent: they compute the same
 canonical term sets as the per-term reference loops, which the property
 tests in ``tests/test_sortkernel.py`` assert on arbitrary inputs.
 
-Each kernel has at most two bodies, and the platform picks between them:
-the compiled C primitive (:mod:`repro.anf._ckernel`) when the extension
-imported (:data:`_C`), the numpy body otherwise.  Both run at every input
-size, and they return the same rows bit for bit.  ``sort_terms``,
-``merge_disjoint``, ``parity_merge``, ``support_fold`` and the whole-matrix
-rewrites have no C primitive, so only the numpy body.
+Four kernels have two bodies, and the platform picks between them:
+``split_runs_by_group`` and ``split_build_by_group`` (which share one
+primitive), ``xor_merge`` and ``shared_literal_count`` run their compiled
+C primitive (:mod:`repro.anf._ckernel`) when the extension imported
+(:data:`_C`), and their numpy body otherwise.  Both run at every input size, and they return
+the same rows bit for bit.  Every other kernel has only its numpy body:
+a C body of ``scatter_tag``, ``popcount_rows`` or the overlapping
+``product_rows`` sweep bought nothing a whole job could see.
 """
 
 from __future__ import annotations
@@ -322,7 +324,7 @@ def _split_runs_radix(
 def _split_runs_python(
     words: Sequence[int], group_mask: int, or_mask: int = 0
 ) -> Tuple[List[Tuple[int, _np.ndarray]], _np.ndarray]:
-    """Per-term reference split over Python ints (also the small-input path)."""
+    """Per-term reference split over Python ints (parity oracle for the tests)."""
     buckets: Dict[int, List[int]] = {}
     remainder: List[int] = []
     remainder_append = remainder.append
@@ -373,8 +375,6 @@ def scatter_tag(words: _np.ndarray, bit: int) -> _np.ndarray:
     """
     if bit > ROW_MASK:
         return EMPTY
-    if _C is not None:
-        return _c_rows(_C.scatter_tag(words, bit))
     b = _np.uint64(bit)
     return _frozen(words[(words & b) != 0] & ~b)
 
@@ -458,9 +458,9 @@ def parity_merge(slabs: Sequence[_np.ndarray]) -> _np.ndarray:
     concatenation itself (:func:`_odd_runs`).
 
     Slabs from expressions are sorted runs, which timsort ("stable") merges
-    instead of re-partitioning from scratch; that beats the C radix
-    ``sort_parity``, so both bodies run it (comparator-14's verify, 2-vCPU
-    box: 99–144 ms against 234–264 ms with ``sort_parity``).
+    instead of re-partitioning from scratch; that beats a C radix sort of
+    the concatenation (comparator-14's verify, 2-vCPU box: 99–144 ms
+    against 234–264 ms).
     """
     alive = [s for s in slabs if len(s)]
     if not alive:
@@ -474,15 +474,9 @@ def parity_merge(slabs: Sequence[_np.ndarray]) -> _np.ndarray:
 def _odd_rows(rows: _np.ndarray) -> _np.ndarray:
     """Sort a fresh writable, run-free slab in place down to its odd-count rows.
 
-    The C ``sort_parity`` radix-sorts and compacts the survivors into the
-    prefix; the in-place resize then reallocates the buffer to them, so the
-    cancelled tail is freed instead of pinned behind a view.  The numpy body
-    sorts (introsort beats timsort on run-free data) and keeps the
-    odd-length runs.
+    The default sort (introsort beats timsort on run-free data) works in
+    place, so the sweep's boolean masks are the only scratch.
     """
-    if _C is not None:
-        rows.resize(_C.sort_parity(rows), refcheck=False)
-        return rows
     rows.sort()
     return _odd_runs(rows)
 
@@ -492,25 +486,42 @@ def _odd_runs(rows: _np.ndarray) -> _np.ndarray:
 
     One ``eq`` pass marks each row equal to its successor.  Nothing equal:
     the vector itself is the answer.  No row three times: the survivors are
-    the rows equal to neither neighbour, picked with boolean masks alone.
-    Only multiplicities of three or more pay for run boundaries (an
-    ``int64`` per run).
+    the rows equal to neither neighbour.  Otherwise each odd run keeps its
+    last row (:func:`_odd_run_ends`).  Every step is a boolean mask, one
+    byte per row; no run boundary is built as an index.
     """
     eq = rows[1:] == rows[:-1]
     if not eq.any():
         return rows
-    if not (eq[1:] & eq[:-1]).any():
-        keep = _np.empty(len(rows), dtype=bool)
-        _np.invert(eq, out=eq)
-        keep[0] = True
-        keep[1:] = eq
-        keep[:-1] &= eq
+    triples = (eq[1:] & eq[:-1]).any()
+    last = _np.empty(len(rows), dtype=bool)  # the last row of each run
+    _np.invert(eq, out=last[:-1])
+    last[-1] = True
+    del eq
+    if not triples:
+        keep = last.copy()
+        keep[1:] &= last[:-1]  # equal to neither neighbour
         return rows[keep]
-    edges = _np.flatnonzero(~eq) + 1
-    starts = _np.concatenate(([0], edges))
-    ends = _np.concatenate((edges, [len(rows)]))
-    odd = ((ends - starts) & 1).astype(bool)
-    return rows[starts[odd]]
+    return rows[_odd_run_ends(last)]
+
+
+def _odd_run_ends(last: _np.ndarray) -> _np.ndarray:
+    """The marks of ``last`` (run ends) that close a run of odd length.
+
+    A run's length is its last index minus the previous run's, so it is odd
+    when the two indices differ in parity; the first run is odd when its
+    last index is even.  Sampling an alternating mask at the run ends gives
+    every run's parity at once.
+    """
+    alternating = _np.zeros(len(last), dtype=bool)
+    alternating[1::2] = True
+    at_end = alternating[last]
+    odd = _np.empty_like(at_end)
+    odd[0] = not at_end[0]
+    _np.not_equal(at_end[1:], at_end[:-1], out=odd[1:])
+    keep = _np.zeros(len(last), dtype=bool)
+    keep[last] = odd
+    return keep
 
 
 def product_rows(
@@ -618,16 +629,9 @@ def shared_literal_count(left: _np.ndarray, right: _np.ndarray) -> int:
 
 
 def popcount_rows(words: _np.ndarray) -> int:
-    """Total set bits over a row slab (the literal count of a matrix).
-
-    One vectorised ``bitwise_count`` + sum on numpy >= 2.0; a single
-    big-integer popcount of the raw bytes on older numpy.
-    """
-    if _C is not None:
-        return _C.popcount_rows(words)
-    if hasattr(_np, "bitwise_count"):
-        return int(_np.bitwise_count(words).sum(dtype=_np.int64))
-    return int.from_bytes(words.tobytes(), "little").bit_count()
+    """Total set bits over a row slab (the literal count of a matrix):
+    one vectorised ``bitwise_count`` and a sum."""
+    return int(_np.bitwise_count(words).sum(dtype=_np.int64))
 
 
 def clear_bits_all(words: _np.ndarray, mask: int) -> _np.ndarray:

@@ -4,7 +4,8 @@ Three layers are under test:
 
 * ``repro.anf._ckernel._impl`` — the raw C primitives, checked against
   brute-force multiset semantics on arbitrary inputs (including the
-  decline rules: empty masks, masks wider than the radix bound);
+  decline rules: empty masks, masks wider than the radix bound), and its
+  export list, which holds exactly the primitives some kernel calls;
 * the C bodies of the ``repro.anf.sortkernel`` kernels, checked for
   bit-identity with their numpy bodies, for the no-copy guarantee on
   groupless slabs, and on full decompositions;
@@ -14,13 +15,11 @@ Everything that needs the extension skips where it is not built; the
 empty-operand and import-guard tests run everywhere.
 """
 
-from collections import Counter
-
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from kernel_bodies import kernel_body
-from test_sortkernel import _plain, _slab
+from test_sortkernel import KERNEL_CALLS, _plain, _slab
 
 from repro.anf import Context, cnative, sortkernel
 from repro.anf.backend import using_backend
@@ -88,40 +87,26 @@ class TestRawPrimitives:
         merged = cnative._C.xor_merge(_slab(left), _slab(right))
         assert _rows(merged) == sorted(set(left) ^ set(right))
 
-    @given(slabs=st.lists(
-        st.lists(st.integers(min_value=0, max_value=(1 << 40) - 1), max_size=30),
-        max_size=6,
-    ))
-    @settings(max_examples=50)
-    def test_sort_parity_keeps_odd_count_rows(self, slabs):
-        rows = [r for s in slabs for r in s]
-        buf = bytearray(np.array(rows, dtype=np.uint64).tobytes())
-        survivors = cnative._C.sort_parity(buf)
-        counts = Counter(rows)
-        assert _rows(memoryview(buf)[: survivors * 8]) == sorted(
-            r for r, c in counts.items() if c & 1
-        )
-
-    @given(terms=terms_strategy, bit=st.sampled_from([1, 1 << 7, 1 << 39]))
-    @settings(max_examples=30)
-    def test_scatter_tag(self, terms, bit):
-        selected = cnative._C.scatter_tag(_slab(terms), bit)
-        assert _rows(selected) == sorted(t & ~bit for t in terms if t & bit)
-
     @given(left=terms_strategy, right=terms_strategy)
     @settings(max_examples=30)
-    def test_shared_literal_count_and_popcount(self, left, right):
+    def test_shared_literal_count(self, left, right):
         shared = set(left) & set(right)
         assert cnative._C.shared_literal_count(
             _slab(left), _slab(right)
         ) == sum(t.bit_count() for t in shared)
-        assert cnative._C.popcount_rows(_slab(left)) == sum(
-            t.bit_count() for t in left
-        )
 
     def test_rejects_misaligned_buffers(self):
         with pytest.raises(ValueError, match="multiple of 8"):
-            cnative._C.popcount_rows(b"\x01\x02\x03")
+            cnative._C.xor_merge(b"\x01\x02\x03", _slab([1]))
+
+    def test_exports_only_the_primitives_kernels_call(self):
+        """Every public callable of the extension is some kernel's C body
+        (``KERNEL_CALLS``), so no primitive outlives its caller."""
+        exported = {
+            name for name in dir(cnative._C)
+            if not name.startswith("_") and callable(getattr(cnative._C, name))
+        }
+        assert exported == {primitive for _, _, primitive in KERNEL_CALLS if primitive}
 
 
 @needs_ext
