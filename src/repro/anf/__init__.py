@@ -2,10 +2,11 @@
 
 This package is the symbolic substrate of the reproduction: canonical
 XOR-of-products expressions (:class:`Anf`), SOP cube lists, truth tables,
-symbolic bit-vectors (:class:`Word`) and a small infix parser.
+symbolic bit-vectors (:class:`Word`) and a small infix parser.  An
+expression's term set is a packed :class:`TermMatrix` whenever its terms
+fit 64-bit rows; the kernels keep a per-term loop for the sets that do not.
 """
 
-from .backend import get_backend, set_backend, using_backend
 from .bitset import BitsetKernel, kernel_for_exprs, kernel_for_support, truth_table
 from .canonical import canonical_spec_digest, canonical_spec_payload
 from .termmatrix import TermMatrix
@@ -59,7 +60,6 @@ __all__ = [
     "equivalent",
     "false",
     "full_adder",
-    "get_backend",
     "half_adder",
     "implies",
     "kernel_for_exprs",
@@ -71,11 +71,9 @@ __all__ = [
     "parity",
     "parse",
     "popcount_word",
-    "set_backend",
     "threshold",
     "true",
     "truth_table",
-    "using_backend",
     "var",
     "variables",
     "xor_all",

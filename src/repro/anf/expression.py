@@ -50,7 +50,7 @@ class Anf:
     The canonical monomial set has two interchangeable storages: a frozenset
     (``_terms``) and a packed :class:`~repro.anf.termmatrix.TermMatrix`
     (``_matrix``).  At least one is always present; the other is materialised
-    on demand and cached.  Expressions produced by the packed backend carry
+    on demand and cached.  Expressions produced by the packed kernels carry
     only the matrix, so the giant intermediates of the decomposition loop
     never pay for per-term frozenset construction unless a consumer asks for
     set semantics.
@@ -197,9 +197,10 @@ class Anf:
     def term_key(self):
         """Canonical hashable key for term-set equality across representations.
 
-        Any set that packs gets the matrix's canonical bytes; a set that
-        cannot pack (a >64-bit term) can never equal one that does, so the
-        frozenset fallback preserves the equality relation.
+        Any set that packs gets the matrix's canonical bytes (O(n/8), no
+        per-term hashing); a set that cannot pack (a >64-bit term) can never
+        equal one that does, so the frozenset fallback preserves the
+        equality relation.  The pair merges key their seconds with it.
         """
         matrix = self.term_matrix(build=True)
         if matrix is not None:
@@ -592,10 +593,40 @@ class Anf:
         ``g != 0``), and ``remainder`` collects the monomials containing no
         group variable at all.  The expression equals
         ``XOR_g (g & bucket[g]) ^ remainder``.
-        """
-        from .backend import get_backend
 
-        return get_backend().split_by_group(self, group_mask)
+        The terms are distinct and (group part, rest part) determines the
+        term, so no mod-2 cancellation can occur while bucketing and every
+        bucket is non-empty.
+        """
+        ctx = self._ctx
+        matrix = self.term_matrix(build=True)
+        if matrix is not None:
+            # One stable bucketing keyed by the group part of every row:
+            # rows sharing a group part keep their ascending order, and
+            # clearing the shared part preserves it, so the buckets are born
+            # canonical.
+            runs, remainder = sortkernel.split_runs_by_group(matrix.words, group_mask)
+            buckets = {
+                group_part: Anf._from_matrix(ctx, TermMatrix(rest))
+                for group_part, rest in runs
+            }
+            return buckets, Anf._from_matrix(ctx, TermMatrix(remainder))
+        rows_of: dict[int, list[int]] = {}
+        rest_rows: list[int] = []
+        for term in self._terms:
+            group_part = term & group_mask
+            if group_part == 0:
+                rest_rows.append(term)
+            else:
+                rows = rows_of.get(group_part)
+                if rows is None:
+                    rows_of[group_part] = rows = []
+                rows.append(term ^ group_part)
+        buckets = {
+            group_part: Anf._raw(ctx, frozenset(rows))
+            for group_part, rows in rows_of.items()
+        }
+        return buckets, Anf._raw(ctx, frozenset(rest_rows))
 
     def restricted_to(self, mask: int) -> bool:
         """True when every monomial only uses variables inside ``mask``."""

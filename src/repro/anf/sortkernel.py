@@ -1,6 +1,6 @@
 """Whole-matrix sort/scan kernels over packed term matrices.
 
-Every O(terms) scan of the packed backend — the bucketing of
+Every O(terms) scan over packed term sets — the bucketing of
 ``split_by_group``, the multi-tag scatter, the pack of a spec, the
 cancel-adjacent sweep of ``xor_sorted`` and the whole-matrix queries and
 rewrites of :class:`~repro.anf.termmatrix.TermMatrix` (popcount, OR-fold,
@@ -198,7 +198,7 @@ def split_build_by_group(
     are allocated in ascending order, so slab ``i``'s rows all sort below
     slab ``i+1``'s once the tags are ORed in).
 
-    Preconditions (the backend seam checks them before calling): every tag
+    Preconditions (``split_with_tags`` checks them before calling): every tag
     is a fresh single bit disjoint from its slab's support, from every other
     tag, and from ``group_mask``.
     """

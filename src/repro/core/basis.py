@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence
 
-from ..anf.backend import get_backend
+from ..anf import sortkernel
 from ..anf.context import Context
 from ..anf.expression import Anf
+from ..anf.termmatrix import TERM_LIMIT, TermMatrix, concat_sorted
 from .nullspace import NullSpaceTable
 from .pairs import (
     PairList,
@@ -71,18 +72,45 @@ def _tag_items(
     return items, tag_of_port
 
 
+def _tag_slabs(
+    items: Sequence[tuple[int, Anf]], group_mask: int = 0
+) -> list[tuple[int, TermMatrix]] | None:
+    """Each port's matrix with its tag bit, when the tag products pack.
+
+    Port expressions never mention tag variables (the rewrite strips them),
+    so each tag product ORs one fresh bit into every row of its port, and
+    the per-port results are pairwise disjoint term sets.  ``None`` when
+    that does not hold word-parallel: a tag past the 64-bit row, a port
+    that does not pack, a port mentioning a tag, or a tag inside
+    ``group_mask``.
+    """
+    tags = 0
+    for bit, _ in items:
+        tags |= bit
+    if tags >= TERM_LIMIT or tags & group_mask:
+        return None
+    slabs: list[tuple[int, TermMatrix]] = []
+    for bit, expr in items:
+        matrix = expr.term_matrix(build=True)
+        if matrix is None or expr.support_mask & tags:
+            return None
+        slabs.append((bit, matrix))
+    return slabs
+
+
 def combine_with_tags(outputs: Mapping[str, Anf], ctx: Context) -> tuple[Anf, Dict[str, str]]:
     """Build ``X = XOR_port K_port · P_port`` with one fresh tag per port.
 
-    The packed backend performs the whole combination word-parallel: each tag
-    product ORs one fresh bit into every term of a port's matrix, and the
-    per-port results are pairwise disjoint (each is marked by its own tag
-    bit), so their XOR is a concatenation.
+    When the tag products pack (:func:`_tag_slabs`), each ORs its tag bit
+    into every row of its port's matrix and, the results being pairwise
+    disjoint, their XOR is a concatenation.  Otherwise the products are
+    XORed one by one.
     """
     items, tag_of_port = _tag_items(outputs, ctx)
-    fast = get_backend().combine_tagged(items, ctx)
-    if fast is not None:
-        return fast, tag_of_port
+    slabs = _tag_slabs(items)
+    if slabs is not None:
+        tagged = [matrix.or_all(bit) for bit, matrix in slabs]
+        return Anf._from_matrix(ctx, concat_sorted(tagged)), tag_of_port
     combined = Anf.zero(ctx)
     for port, expr in outputs.items():
         # The tag products recur (findGroup and findBasis both combine the
@@ -96,22 +124,26 @@ def split_with_tags(
 ) -> tuple[Dict[int, Anf], Anf, Dict[str, str]]:
     """``split_by_group(combine_with_tags(outputs))`` without the middle man.
 
-    On backends with a fused split→build kernel the tagged combination —
-    the largest slab the old pipeline ever allocated — never materialises:
-    each port's matrix is bucketed, group-stripped and tag-marked in one
-    pass, and the buckets come out as the next iteration's sorted matrices.
-    Backends without the kernel (or inputs violating its preconditions)
-    fall back to the two-step combine-then-split, which is definitionally
-    the same result.
+    When the tag products pack and no tag lies in the group, the tagged
+    combination — the largest slab the old pipeline ever allocated — never
+    materialises: the fused split→build kernel buckets each port's matrix,
+    strips the group bits and ORs the tag in one pass, and the buckets come
+    out as the next iteration's sorted matrices.  Otherwise the outputs are
+    combined, then split, which is definitionally the same result.
     """
     items, tag_of_port = _tag_items(outputs, ctx)
-    fused = get_backend().split_tagged(items, group_mask, ctx)
-    if fused is not None:
-        buckets, remainder = fused
+    slabs = _tag_slabs(items, group_mask)
+    if slabs is None:
+        combined, _ = combine_with_tags(outputs, ctx)
+        buckets, remainder = combined.split_by_group(group_mask)
         return buckets, remainder, tag_of_port
-    combined, tag_of_port = combine_with_tags(outputs, ctx)
-    buckets, remainder = combined.split_by_group(group_mask)
-    return buckets, remainder, tag_of_port
+    runs, rest = sortkernel.split_build_by_group(
+        [(bit, matrix.words) for bit, matrix in slabs], group_mask
+    )
+    buckets = {
+        group_part: Anf._from_matrix(ctx, TermMatrix(rows)) for group_part, rows in runs
+    }
+    return buckets, Anf._from_matrix(ctx, TermMatrix(rest)), tag_of_port
 
 
 def extract_basis(
@@ -120,17 +152,13 @@ def extract_basis(
     identities: Sequence[Anf],
     ctx: Context,
     use_nullspaces: bool = True,
-    combined: tuple[Anf, Dict[str, str]] | None = None,
     pre_split: tuple[Dict[int, Anf], Anf, Dict[str, str]] | None = None,
 ) -> BasisExtraction:
     """Run ``findBasis`` for the given group over a list of output expressions.
 
-    ``combined`` optionally supplies a precomputed ``(X, tag_of_port)``
-    from :func:`combine_with_tags` on the same outputs — the engine shares
-    one tagged combination per iteration between ``findGroup`` and
-    ``findBasis`` instead of rebuilding the giant expression twice.
-    ``pre_split`` goes one step further: a ``(buckets, remainder,
-    tag_of_port)`` triple from :func:`split_with_tags`, letting the fused
+    ``pre_split`` optionally supplies a ``(buckets, remainder,
+    tag_of_port)`` triple from :func:`split_with_tags` on the same outputs
+    (the engine's per-iteration tagged split), letting the fused
     split→build kernel feed the pair list without the combination ever
     existing.
     """
@@ -153,10 +181,7 @@ def extract_basis(
             pair_list=pair_list,
             nullspaces=nullspaces,
         )
-    if combined is None:
-        combined, tag_of_port = combine_with_tags(outputs, ctx)
-    else:
-        combined, tag_of_port = combined
+    combined, tag_of_port = combine_with_tags(outputs, ctx)
     nullspaces = NullSpaceTable.from_identities(ctx, identities)
     pair_list = initial_pairs(combined, group_mask, nullspaces)
     pair_list = merge_equal_parts(pair_list)

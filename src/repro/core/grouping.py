@@ -224,7 +224,7 @@ def find_group(
 
     if comb(len(candidates), size) <= MAX_EXHAUSTIVE_CANDIDATES:
         # One shared term-matrix view of the combined expression scores every
-        # candidate subset; the packed backend builds it word-parallel (tag
+        # candidate subset; ``combine_with_tags`` builds it word-parallel (tag
         # OR + concatenation) instead of symbolic products per call.  ``min``
         # keeps the first minimum in enumeration order.
         if tagged_combination is not None:

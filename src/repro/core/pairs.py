@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List
 
-from ..anf.backend import PackedBackend, get_backend
 from ..anf.expression import Anf
 from .nullspace import NullSpaceTable, ideal_product_generator, split_over_ideals
 
@@ -137,23 +136,21 @@ def merge_equal_parts(pair_list: PairList) -> PairList:
     (paper section 5.2, the identity-free merge).
     """
     pairs = list(pair_list.pairs)
-    # The seconds carry the giant term sets; the backend supplies an O(n/8)
+    # The seconds carry the giant term sets; ``Anf.term_key`` gives an O(n/8)
     # canonical key (packed matrix bytes) instead of per-term frozenset
     # hashing.  Keys are equal exactly when the term sets are, so the merge
-    # decisions — and hence the results — are backend-independent.  Before
+    # decisions — and hence the results — do not depend on how a set is
+    # stored.  Before
     # building (and hashing) a second's potentially megabytes-long
     # canonical bytes, an O(1) probe fingerprint — term count plus three
     # sampled rows of the sorted matrix — rules out non-equal sets: equal
     # sets always fingerprint equal, so the full key is only needed within
     # fingerprint collisions.
-    backend = get_backend()
-    second_key = backend.pair_key
+    second_key = Anf.term_key
     # Probing only pays when the seconds are big enough that building and
     # hashing their canonical bytes dominates; tiny pair lists keep the
     # direct-key path (same decisions either way).
-    probe = isinstance(backend, PackedBackend) and any(
-        pair.second.num_terms >= PROBE_MIN_TERMS for pair in pairs
-    )
+    probe = any(pair.second.num_terms >= PROBE_MIN_TERMS for pair in pairs)
     changed = True
     while changed:
         changed = False

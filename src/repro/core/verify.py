@@ -171,7 +171,7 @@ def flatten_port_via_dag(
 
 
 def semantically_equal(left: Anf, right: Anf) -> bool:
-    """Exact term-set equality, routed through the packed matrix backend.
+    """Exact term-set equality, routed through the packed term matrices.
 
     Both sides are packed on demand (one vectorised sort for a set-backed
     operand) and compared row-for-row at C speed; expressions too wide to
@@ -251,7 +251,7 @@ def check_rewrite_invariant(
     (literal substitutions are already in place and removed-block
     replacements only mention kept blocks, so one level suffices).  Returns
     the first mismatching port name, or ``None`` when the step is exact.
-    This is the per-iteration gate behind ``REPRO_VERIFY_STEPS``: because
+    This is the per-iteration gate of ``RewritePass(verify_steps=True)``: because
     every step preserves semantics, the gated pipeline's final result
     verifies by induction.
     """

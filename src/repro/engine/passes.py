@@ -25,8 +25,7 @@ out, not a flag threaded through a closed loop.
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..anf.expression import Anf
 from ..core.basis import extract_basis
@@ -38,19 +37,6 @@ from ..core.pairs import merge_with_nullspaces
 from ..core.rewrite import rewrite_identities, rewrite_outputs
 from ..core.verify import VerificationError, check_rewrite_invariant
 from .state import EngineState, total_literals
-
-#: Environment switch for the per-iteration rewrite gate: every rewrite step
-#: is checked to exactly reconstruct its pre-rewrite expressions (one-level
-#: DAG substitution), so a gated run's final decomposition verifies by
-#: induction.  The DAG verification engine made this cheap enough to leave
-#: on in production pipelines.
-VERIFY_STEPS_ENV = "REPRO_VERIFY_STEPS"
-
-
-def _verify_steps_default() -> bool:
-    value = os.environ.get(VERIFY_STEPS_ENV, "").strip().lower()
-    return bool(value) and value not in ("0", "false", "no", "off")
-
 
 class Pass:
     """Base class: one composable stage of the decomposition pipeline."""
@@ -175,23 +161,19 @@ class IdentityAnalysisPass(Pass):
 class RewritePass(Pass):
     """Create the blocks, rewrite the outputs, carry identities, record the trace.
 
-    With ``verify_steps`` (default: the ``REPRO_VERIFY_STEPS`` environment
-    switch) every rewrite is gated: substituting the iteration's new block
-    definitions back into the rewritten outputs must reproduce the
-    pre-rewrite expressions exactly, else :class:`VerificationError` is
-    raised.  The gate cannot change any result — it is excluded from
-    ``params()`` so cache keys are unaffected.
+    With ``verify_steps`` every rewrite is gated: substituting the
+    iteration's new block definitions back into the rewritten outputs must
+    reproduce the pre-rewrite expressions exactly, else
+    :class:`VerificationError` is raised, so a gated run's final
+    decomposition verifies by induction.  The gate cannot change any
+    result — it is excluded from ``params()`` so cache keys are unaffected.
     """
 
     name = "rewrite"
 
-    def __init__(
-        self, block_prefix: str = "t", verify_steps: Optional[bool] = None
-    ) -> None:
+    def __init__(self, block_prefix: str = "t", verify_steps: bool = False) -> None:
         self.block_prefix = block_prefix
-        self.verify_steps = (
-            _verify_steps_default() if verify_steps is None else verify_steps
-        )
+        self.verify_steps = verify_steps
 
     def params(self) -> Dict[str, object]:
         return {"block_prefix": self.block_prefix}

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..anf.backend import get_backend
 from ..anf.context import Context
 from ..anf.expression import Anf
 from ..core.basis import BasisExtraction
@@ -84,7 +83,12 @@ class EngineState:
         for expr in outputs.values():
             ctx.require_same(expr.ctx)
         current = dict(outputs)
-        get_backend().prepare_outputs(current)
+        # Pack the specification outputs up front: the first iteration then
+        # answers literal counts and support queries with popcounts and folds
+        # instead of per-term sums, and the first tagged split reuses the
+        # matrices as they are.
+        for expr in current.values():
+            expr.term_matrix(build=True)
         primary_inputs = support_of_outputs(current, ctx)
         if input_words is None:
             words = [list(primary_inputs)]

@@ -22,7 +22,6 @@ from kernel_bodies import kernel_body
 from test_sortkernel import KERNEL_CALLS, _plain, _slab
 
 from repro.anf import Context, cnative, sortkernel
-from repro.anf.backend import using_backend
 
 terms_strategy = st.lists(
     st.integers(min_value=0, max_value=(1 << 40) - 1), unique=True, max_size=100
@@ -178,7 +177,7 @@ class TestBodyParity:
                 "maj": majority(bits, ctx),
                 "parity": xor_accumulate(bits, ctx),
             }
-            with kernel_body(c), using_backend("packed"):
+            with kernel_body(c):
                 d = progressive_decomposition(
                     outputs,
                     DecompositionOptions(),

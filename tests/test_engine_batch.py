@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kernel_bodies import running
 from reference_loop import reference_decomposition
 from test_engine_parity import assert_bit_identical
 
@@ -25,7 +26,6 @@ from repro.anf import (
     sortkernel,
     variables,
 )
-from repro.anf.backend import using_backend
 from repro.benchcircuits import adder_spec, counter_spec, lzd_spec, majority_spec
 from repro.core import DecompositionOptions, progressive_decomposition
 from repro.core.decompose import Decomposition
@@ -417,10 +417,10 @@ class TestRecordWriter:
     @pytest.mark.parametrize("circuit,width,backend", [
         ("lzd", 12, "packed"),        # wide packed rows through orjson
         ("adder", 10, "packed"),      # masks of 2**64 or more: stdlib fallback
-        ("majority", 7, "set"),       # set-backed lists
+        ("majority", 7, "unpacked"),  # set-backed lists
     ])
     def test_stored_bytes_equal_stdlib_json(self, tmp_path, circuit, width, backend):
-        with using_backend(backend):
+        with running(backend):
             spec = CIRCUITS[circuit](width)
             decomposition = progressive_decomposition(
                 spec.outputs, input_words=spec.input_words)
@@ -435,7 +435,7 @@ class TestRecordWriter:
             assert any(len(terms) >= sortkernel.KERNEL_MIN_ROWS
                        for terms in record["original"].values()
                        if isinstance(terms, np.ndarray))
-        if backend == "set":
+        if backend == "unpacked":
             assert not any(isinstance(terms, np.ndarray)
                            for terms in record["original"].values())
 
@@ -710,11 +710,13 @@ class TestBatchOrchestrator:
         expected = progressive_decomposition(spec.outputs, input_words=spec.input_words)
         assert_bit_identical(expected, results["maj7"].decomposition)
 
-        reference = reference_decomposition(
-            majority_spec(7).outputs,
-            DecompositionOptions(use_identities=False),
-            input_words=majority_spec(7).input_words,
-        )
+        with running("unpacked"):
+            spec = majority_spec(7)
+            reference = reference_decomposition(
+                spec.outputs,
+                DecompositionOptions(use_identities=False),
+                input_words=spec.input_words,
+            )
         assert_bit_identical(reference, results["maj7-noident"].decomposition)
 
     def test_pooled_matrices_come_back_read_only(self, tmp_path):

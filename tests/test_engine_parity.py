@@ -6,11 +6,13 @@ independently built (but identically declared) contexts and asserts the
 results are bit-identical — outputs, blocks, and the complete per-iteration
 trace — across every ``DecompositionOptions`` ablation.
 
-Every ablation runs under both term backends, and the packed one on both
-kernel bodies (numpy, and C where the extension is built): the reference
-loop always runs on the ``set`` backend (the seed representation), while
-the engine runs on the backend under test, so the packed term-matrix kernels
-are held to the same bit-identical standard as the pipeline itself.
+Every ablation runs in three modes (``kernel_bodies.BACKENDS``): with no
+term set packing, so every kernel takes its per-term loop, and packed on
+both kernel bodies (numpy, and C where the extension is built).  The
+reference loop always runs unpacked, while the engine runs in the mode under
+test, so the packed term-matrix kernels and the per-term fallbacks are held
+to the same bit-identical standard as the pipeline itself.  Specs are built
+inside the mode they run in, so an unpacked run never sees a packed input.
 """
 
 import pytest
@@ -20,7 +22,6 @@ from kernel_bodies import BACKENDS, BUILT_BACKENDS, running
 from reference_loop import reference_decomposition
 
 from repro.anf import Anf, Context, Word, carry_save_reduce, majority, sortkernel, variables
-from repro.anf.backend import using_backend
 from repro.circuit import check_netlist_against_anf
 from repro.core import DecompositionOptions, progressive_decomposition
 from repro.core.structure import decomposition_to_netlist
@@ -89,32 +90,37 @@ def assert_bit_identical(expected, actual):
         assert (left.size_before, left.size_after) == (right.size_before, right.size_after)
 
 
-def _twin_majority(width):
-    """The same majority spec built twice in independent contexts."""
-    specs = []
-    for _ in range(2):
+def _majority(width):
+    """A builder of the ``width``-input majority spec."""
+
+    def build():
         ctx = Context()
         bits = ctx.bus("a", width)
-        specs.append(({"maj": majority(variables(ctx, bits), ctx)}, [bits]))
-    return specs
+        return {"maj": majority(variables(ctx, bits), ctx)}, [bits]
+
+    return build
 
 
-def _twin_adder(width):
-    from repro.benchcircuits import adder_spec
+def _benchmark(circuit, width):
+    """A builder of one benchmark spec: ``(outputs, input_words)``."""
+    import repro.benchcircuits as benchcircuits
 
-    specs = []
-    for _ in range(2):
-        spec = adder_spec(width)
-        specs.append((spec.outputs, spec.input_words))
-    return specs
+    def build():
+        spec = getattr(benchcircuits, f"{circuit}_spec")(width)
+        return spec.outputs, spec.input_words
+
+    return build
 
 
-def _check_parity(twins, options, backend):
-    (ref_outputs, ref_words), (new_outputs, new_words) = twins
-    with using_backend("set"):
+def _check_parity(build, options, backend):
+    """The engine in mode ``backend`` against the unpacked reference loop,
+    each on its own fresh (identically declared) build of the spec."""
+    with running("unpacked"):
+        ref_outputs, ref_words = build()
         expected = reference_decomposition(ref_outputs, options, input_words=ref_words)
     with running(backend):
-        actual = progressive_decomposition(new_outputs, options, input_words=new_words)
+        outputs, words = build()
+        actual = progressive_decomposition(outputs, options, input_words=words)
     assert_bit_identical(expected, actual)
     return actual
 
@@ -123,12 +129,12 @@ class TestAblationParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("options", ABLATIONS, ids=lambda o: repr(o))
     def test_majority7_parity(self, options, backend):
-        assert _check_parity(_twin_majority(7), options, backend).verify()
+        assert _check_parity(_majority(7), options, backend).verify()
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("options", ABLATIONS[:4], ids=lambda o: repr(o))
     def test_multi_output_adder_parity(self, options, backend):
-        _check_parity(_twin_adder(4), options, backend)
+        _check_parity(_benchmark("adder", 4), options, backend)
 
 
 class TestVectorKernelParity:
@@ -145,12 +151,12 @@ class TestVectorKernelParity:
     @pytest.mark.parametrize("backend", BACKENDS[1:])
     @pytest.mark.parametrize("options", ABLATIONS, ids=lambda o: repr(o))
     def test_majority7_parity(self, options, backend):
-        assert _check_parity(_twin_majority(7), options, backend).verify()
+        assert _check_parity(_majority(7), options, backend).verify()
 
     @pytest.mark.parametrize("backend", BACKENDS[1:])
     @pytest.mark.parametrize("options", ABLATIONS[:4], ids=lambda o: repr(o))
     def test_multi_output_adder_parity(self, options, backend):
-        _check_parity(_twin_adder(4), options, backend)
+        _check_parity(_benchmark("adder", 4), options, backend)
 
 
 class TestPairMergeProbe:
@@ -203,7 +209,7 @@ class TestPairMergeProbe:
             results[threshold] = self._merged(backend)
             assert bool(probed) == (threshold == 0)
         assert results[0] == results[1 << 62]
-        assert results[0] == self._merged("set")
+        assert results[0] == self._merged("unpacked")
         assert len(results[0][0]) == 3  # A, B and C each merged to one pair
 
 
@@ -244,7 +250,7 @@ class TestRandomisedParity:
         # (e.g. every optimisation disabled); parity then means both
         # implementations fail identically.
         try:
-            with using_backend("set"):
+            with running("unpacked"):
                 expected = reference_decomposition(ref_outputs, options)
         except RuntimeError as reference_error:
             with running(backend):
@@ -330,35 +336,57 @@ SMALL_JOBS = (
 )
 
 
+def _decompose_in_every_mode(build, options=DecompositionOptions()):
+    """Decompose a fresh build of one spec in every built mode.  Each result
+    verifies, and the packed ones equal the unpacked one bit for bit."""
+    results = {}
+    for backend in BUILT_BACKENDS:
+        with running(backend):
+            outputs, words = build()
+            results[backend] = progressive_decomposition(outputs, options, input_words=words)
+        assert results[backend].verify(), backend
+    for backend in BUILT_BACKENDS[1:]:
+        assert_bit_identical(results["unpacked"], results[backend])
+    return results
+
+
 class TestSmallJobParity:
     """Every small benchmark job decomposes bit-identically on the packed
-    kernel bodies and on the ``set`` reference, and verifies."""
+    kernel bodies and unpacked, and verifies."""
 
     @pytest.mark.parametrize("circuit, width", SMALL_JOBS,
                              ids=[f"{c}-{w}" for c, w in SMALL_JOBS])
     def test_small_job(self, circuit, width):
-        import repro.benchcircuits as benchcircuits
+        results = _decompose_in_every_mode(_benchmark(circuit, width))
+        original = results["packed"].original
+        assert max(e.num_terms for e in original.values()) < 1024
 
-        builder = getattr(benchcircuits, f"{circuit}_spec")
-        results = {}
-        for backend in BUILT_BACKENDS:
-            spec = builder(width)
-            assert max(e.num_terms for e in spec.outputs.values()) < 1024
-            with running(backend):
-                results[backend] = progressive_decomposition(
-                    spec.outputs, DecompositionOptions(), input_words=spec.input_words
-                )
-            assert results[backend].verify(), backend
-        for backend in BUILT_BACKENDS[1:]:
-            assert_bit_identical(results["set"], results[backend])
+
+#: The cold-small jobs whose contexts pass 64 variables: block names take
+#: indices past 63, so some of their term sets cannot pack and the packed
+#: modes run the per-term fallbacks on them too.
+WIDE_INDEX_JOBS = [("adder", 10), ("adder", 12), ("three_input_adder", 7)]
+
+
+class TestWideIndexJobParity:
+    """The jobs that reach the per-term fallback in production decompose
+    bit-identically packed (numpy and C bodies) and unpacked."""
+
+    @pytest.mark.parametrize("circuit, width", WIDE_INDEX_JOBS,
+                             ids=[f"{c}-{w}" for c, w in WIDE_INDEX_JOBS])
+    def test_wide_index_job(self, circuit, width):
+        results = _decompose_in_every_mode(_benchmark(circuit, width))
+        packed = results["packed"]
+        assert len(packed.ctx.names) > 64
+        assert any(e.term_matrix(build=True) is None for e in packed.outputs.values())
 
 
 class TestWordArithmeticFuzz:
     """Differential fuzzer over random ``Word``-arithmetic specs at 8–12
-    input bits.  Each spec decomposes under ``set``, ``packed`` on the numpy
-    bodies and ``packed`` on the C bodies (where built); every result must
-    pass the DAG verify, the ``flatten`` verify and netlist simulation
-    against the spec, and the backends must agree bit for bit.  The packed
+    input bits.  Each spec decomposes unpacked, packed on the numpy bodies
+    and packed on the C bodies (where built); every result must pass the
+    DAG verify, the ``flatten`` verify and netlist simulation against the
+    spec, and the modes must agree bit for bit.  The packed
     kernels run their vector bodies here on slabs of a few to a few hundred
     rows — the sizes real small jobs send them."""
 
@@ -400,12 +428,12 @@ class TestWordArithmeticFuzz:
 
     @staticmethod
     def _check(build, options):
-        """Decompose ``build()``'s spec on every built backend, check each
-        result three ways, and hold the packed ones to the ``set`` result."""
+        """Decompose ``build()``'s spec in every built mode, check each
+        result three ways, and hold the packed ones to the unpacked result."""
         results = {}
         for backend in BUILT_BACKENDS:
-            outputs, words = build()
             with running(backend):
+                outputs, words = build()
                 results[backend] = progressive_decomposition(
                     outputs, options, input_words=words
                 )
@@ -417,7 +445,7 @@ class TestWordArithmeticFuzz:
                 netlist, outputs, max_exhaustive_inputs=8, random_vectors=256
             ).equivalent, backend
         for backend in BUILT_BACKENDS[1:]:
-            assert_bit_identical(results["set"], results[backend])
+            assert_bit_identical(results["unpacked"], results[backend])
 
 
 class TestPipelineAssembly:

@@ -1,8 +1,9 @@
 """Property tests for the whole-matrix sort/scan kernel layer.
 
 Every split/scatter kernel must agree on arbitrary inputs with the
-``SetBackend`` reference (per-term loops over frozensets) and with the
-per-term oracles ``sortkernel._split_runs_python`` /
+per-term loops the term-set kernels keep for sets that do not pack (run
+with nothing packing, ``kernel_bodies.unpacked``) and with the per-term
+oracles ``sortkernel._split_runs_python`` /
 ``sortkernel._split_build_python``.  The ``kernel_mode`` fixture runs each
 property on the numpy bodies and on the C bodies (where the extension is
 built); both run at every input size.
@@ -17,10 +18,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from kernel_bodies import unpacked
 
 from repro.anf import Anf, Context
 from repro.anf import sortkernel
-from repro.anf.backend import PackedBackend, SetBackend
 from repro.anf.expression import xor_accumulate
 from repro.anf.termmatrix import TermMatrix
 from repro.gf2.linear import MonomialIndexer, MonomialVocabulary
@@ -216,93 +217,97 @@ class TestFusedSplitBuild:
         assert runs == [(1, [2 | (1 << 51)])]
 
 
-class TestFusedBackendSeam:
-    """``PackedBackend.split_tagged`` vs combine-then-split, decline cases."""
+def _split_terms(buckets, remainder):
+    return {p: b.terms for p, b in buckets.items()}, remainder.terms
 
-    def _items(self, ctx, outputs):
-        from repro.core.basis import _tag_items
 
-        return _tag_items(outputs, ctx)
+class TestFusedSplit:
+    """``split_with_tags`` vs combine-then-split, and the inputs that must
+    skip the fused kernel."""
+
+    @staticmethod
+    def _two_step(outputs, group_mask, ctx):
+        from repro.core.basis import combine_with_tags
+
+        combined, _ = combine_with_tags(outputs, ctx)
+        return _split_terms(*combined.split_by_group(group_mask))
+
+    @staticmethod
+    def _fused(outputs, group_mask, ctx):
+        from repro.core.basis import split_with_tags
+
+        buckets, remainder, _ = split_with_tags(outputs, group_mask, ctx)
+        return _split_terms(buckets, remainder)
 
     @given(outputs_terms=st.lists(st.lists(st.integers(min_value=0, max_value=255),
                                            unique=True, max_size=20), min_size=1, max_size=3),
            group_mask=st.integers(min_value=0, max_value=255))
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_split_tagged_matches_two_step(self, outputs_terms, group_mask):
-        from repro.core.basis import combine_with_tags
-
-        results = []
-        for _ in range(2):
+    def test_split_with_tags_matches_two_step(self, outputs_terms, group_mask):
+        def spec():
             ctx = Context([f"v{i}" for i in range(8)])
             outputs = {f"o{i}": Anf(ctx, terms) for i, terms in enumerate(outputs_terms)}
-            results.append((ctx, outputs))
-        (ctx_a, outputs_a), (ctx_b, outputs_b) = results
-        items, _ = self._items(ctx_a, outputs_a)
-        fused = PackedBackend().split_tagged(items, group_mask, ctx_a)
-        assert fused is not None
-        combined, _ = combine_with_tags(outputs_b, ctx_b)
-        buckets, remainder = combined.split_by_group(group_mask)
-        fused_buckets, fused_remainder = fused
-        assert fused_remainder.terms == remainder.terms
-        assert {p: b.terms for p, b in fused_buckets.items()} == {
-            p: b.terms for p, b in buckets.items()
-        }
+            return outputs, group_mask, ctx
 
-    def test_set_backend_always_declines(self):
-        ctx = Context(["a", "b"])
-        items, _ = self._items(ctx, {"o": Anf(ctx, [1, 2])})
-        assert SetBackend().split_tagged(items, 0b1, ctx) is None
+        with unpacked():
+            expected = self._two_step(*spec())
+        assert self._fused(*spec()) == expected
 
-    def test_wide_terms_decline_the_fused_path(self):
-        ctx = Context([f"w{i}" for i in range(70)])
-        items, _ = self._items(ctx, {"o": Anf(ctx, [1 << 69, 5])})
-        assert PackedBackend().split_tagged(items, 0b100, ctx) is None
+    @pytest.mark.parametrize("case", ["wide-terms", "group-holds-a-tag"])
+    def test_declining_inputs_skip_the_fused_kernel(self, monkeypatch, case):
+        if case == "wide-terms":
+            ctx = Context([f"w{i}" for i in range(70)])
+            outputs, group_mask = {"o": Anf(ctx, [1 << 69, 5])}, 0b100
+        else:
+            ctx = Context(["a", "b"])
+            outputs = {"o": Anf(ctx, [1, 2])}
+            group_mask = (1 << ctx.add_var("_K_o")) | 1
+        expected = self._two_step(outputs, group_mask, ctx)
 
-    def test_group_mask_colliding_with_tags_declines(self):
-        ctx = Context(["a", "b"])
-        items, _ = self._items(ctx, {"o": Anf(ctx, [1, 2])})
-        tag_bit = items[0][0]
-        assert PackedBackend().split_tagged(items, tag_bit | 1, ctx) is None
+        def fused_kernel(*args):
+            raise AssertionError("the fused kernel ran on a declining input")
+
+        monkeypatch.setattr(sortkernel, "split_build_by_group", fused_kernel)
+        assert self._fused(outputs, group_mask, ctx) == expected
 
 
-class TestBackendParity:
-    """SetBackend vs the packed kernels."""
+class TestPerTermParity:
+    """The per-term loops vs the packed kernels."""
 
     @given(terms=terms_strategy, group_mask=st.integers(min_value=0, max_value=255))
     @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_split_by_group(self, terms, group_mask):
         ctx = Context([f"v{i}" for i in range(8)])
-        expr = Anf(ctx, terms)
-        set_buckets, set_rem = SetBackend().split_by_group(expr, group_mask)
-        new_buckets, new_rem = PackedBackend().split_by_group(
-            Anf(ctx, terms), group_mask
-        )
-        assert set_rem.terms == new_rem.terms
-        assert {p: b.terms for p, b in set_buckets.items()} == {
-            p: b.terms for p, b in new_buckets.items()
-        }
+        with unpacked():
+            expected = _split_terms(*Anf(ctx, terms).split_by_group(group_mask))
+        assert _split_terms(*Anf(ctx, terms).split_by_group(group_mask)) == expected
 
     @given(terms=terms_strategy, tags_mask=st.integers(min_value=0, max_value=(1 << 8) - 1))
     @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_scatter_by_tags(self, terms, tags_mask):
+        from repro.core.rewrite import scatter_by_tags
+
         ctx = Context([f"v{i}" for i in range(8)])
-        reference = SetBackend().scatter_by_tags(Anf(ctx, terms), tags_mask)
-        fast = PackedBackend().scatter_by_tags(Anf(ctx, terms), tags_mask)
+        with unpacked():
+            reference = scatter_by_tags(Anf(ctx, terms), tags_mask)
+        fast = scatter_by_tags(Anf(ctx, terms), tags_mask)
         assert {bit: comp.terms for bit, comp in reference.items()} == {
             bit: comp.terms for bit, comp in fast.items()
         }
 
-    def test_wide_terms_fall_back_to_set_path(self):
+    def test_wide_terms_fall_back_to_per_term_loops(self):
+        from repro.core.rewrite import scatter_by_tags
+
         ctx = Context([f"w{i}" for i in range(70)])
         wide = Anf(ctx, [1 << 69, (1 << 68) | (1 << 2), 5])
-        buckets, remainder = PackedBackend().split_by_group(wide, 0b100)
+        buckets, remainder = wide.split_by_group(0b100)
         assert sorted(buckets) == [0b100]
         assert set(buckets[0b100].terms) == {1 << 68, 1}
         assert set(remainder.terms) == {1 << 69}
-        scattered = PackedBackend().scatter_by_tags(wide, 0b101)
-        reference = SetBackend().scatter_by_tags(wide, 0b101)
+        assert wide.term_matrix() is None
+        scattered = scatter_by_tags(wide, 0b101)
         assert {b: c.terms for b, c in scattered.items()} == {
-            b: c.terms for b, c in reference.items()
+            0b1: {0b100}, 0b100: {1 << 68, 1},
         }
 
 

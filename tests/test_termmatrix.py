@@ -1,10 +1,11 @@
-"""Property tests for the packed term-matrix backend.
+"""Property tests for the packed term matrices.
 
 Two layers are exercised: the :class:`TermMatrix` data structure itself
-(packed views must agree with per-term computation), and the backend kernels
-(``split_by_group``, ``combine_with_tags``, ``scatter_by_tags``,
-``disjoint_xor``, ``pair_key``) whose set- and packed-backend implementations
-must compute identical canonical term sets on arbitrary expressions.
+(packed views must agree with per-term computation), and the term-set
+kernels (``split_by_group``, ``combine_with_tags``, ``scatter_by_tags``,
+``Anf.term_key``) whose packed paths and per-term loops (run with nothing
+packing, ``kernel_bodies.unpacked``) must compute identical canonical term
+sets on arbitrary expressions.
 """
 
 import os
@@ -13,15 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from kernel_bodies import running, unpacked
 
 from repro.anf import Anf, Context
-from repro.anf.backend import (
-    PackedBackend,
-    SetBackend,
-    get_backend,
-    set_backend,
-    using_backend,
-)
 from repro.anf.termmatrix import (
     TERM_LIMIT,
     TermMatrix,
@@ -111,20 +106,27 @@ subsets_strategy = st.lists(
 )
 
 
-class TestBackendKernelParity:
-    """The two backends must compute identical canonical term sets."""
+def _split_terms(expr, group_mask):
+    buckets, remainder = expr.split_by_group(group_mask)
+    return {part: b.terms for part, b in buckets.items()}, remainder.terms
+
+
+def _scatter_terms(expr, tags_mask):
+    from repro.core.rewrite import scatter_by_tags
+
+    return {bit: comp.terms for bit, comp in scatter_by_tags(expr, tags_mask).items()}
+
+
+class TestKernelParity:
+    """The packed paths and the per-term loops compute identical term sets."""
 
     @given(subsets_strategy, st.integers(min_value=0, max_value=255))
     @settings(max_examples=80)
     def test_split_by_group(self, subsets, group_mask):
         ctx = Context([f"v{i}" for i in range(8)])
-        expr = _expr(ctx, subsets)
-        set_buckets, set_rem = SetBackend().split_by_group(expr, group_mask)
-        packed_buckets, packed_rem = PackedBackend().split_by_group(expr, group_mask)
-        assert set_rem.terms == packed_rem.terms
-        assert set(set_buckets) == set(packed_buckets)
-        for part in set_buckets:
-            assert set_buckets[part].terms == packed_buckets[part].terms
+        with unpacked():
+            expected = _split_terms(_expr(ctx, subsets), group_mask)
+        assert _split_terms(_expr(ctx, subsets), group_mask) == expected
 
     @given(subsets_strategy, subsets_strategy)
     @settings(max_examples=60)
@@ -132,29 +134,24 @@ class TestBackendKernelParity:
         from repro.core.basis import combine_with_tags
 
         results = {}
-        for name in ("set", "packed"):
+        for mode in ("unpacked", "packed"):
             ctx = Context([f"v{i}" for i in range(8)])
             outputs = {"f": _expr(ctx, subsets_f), "g": _expr(ctx, subsets_g)}
-            with using_backend(name):
+            with running(mode):
                 combined, tag_of_port = combine_with_tags(outputs, ctx)
                 tags_mask = sum(1 << ctx.index(t) for t in tag_of_port.values())
-                scattered = get_backend().scatter_by_tags(combined, tags_mask)
-            results[name] = (
-                combined.terms,
-                {bit: comp.terms for bit, comp in scattered.items()},
-            )
-        assert results["set"] == results["packed"]
+                results[mode] = (combined.terms, _scatter_terms(combined, tags_mask))
+        assert results["unpacked"] == results["packed"]
 
     @given(subsets_strategy)
     @settings(max_examples=40)
-    def test_pair_key_equality_semantics(self, subsets):
+    def test_term_key_equality_semantics(self, subsets):
         ctx = Context([f"v{i}" for i in range(8)])
         built = _expr(ctx, subsets)
         twin = Anf(ctx, list(built.terms))
         matrix_backed = Anf._from_matrix(ctx, TermMatrix.from_terms(built.terms))
-        backend = PackedBackend()
-        assert backend.pair_key(built) == backend.pair_key(twin)
-        assert backend.pair_key(built) == backend.pair_key(matrix_backed)
+        assert built.term_key() == twin.term_key()
+        assert built.term_key() == matrix_backed.term_key()
 
     @given(subsets_strategy)
     @settings(max_examples=40)
@@ -177,36 +174,10 @@ class TestBackendKernelParity:
         assert (lazy & other).terms == (plain & other).terms
 
 
-class TestBackendSelection:
-    def test_set_backend_round_trip(self):
-        previous = get_backend().name
-        try:
-            assert set_backend("set").name == "set"
-            assert get_backend().name == "set"
-        finally:
-            set_backend(previous)
-
-    def test_unknown_backend_rejected(self):
-        for name in ("bogus", "threaded", "native"):
-            with pytest.raises(ValueError):
-                set_backend(name)
-
-    def test_using_backend_restores(self):
-        before = get_backend().name
-        with using_backend("set"):
-            assert get_backend().name == "set"
-        assert get_backend().name == before
-
-    def test_using_backend_restores_after_an_error(self):
-        before = get_backend().name
-        with pytest.raises(RuntimeError):
-            with using_backend("set"):
-                raise RuntimeError("boom")
-        assert get_backend().name == before
-
+class TestBackendStamp:
     def test_packed_is_active_at_import(self):
-        """A fresh interpreter starts on ``packed``: nothing but a call
-        selects the backend."""
+        """A fresh interpreter names its term storage ``packed``: benchmark
+        run stamps read that name."""
         import subprocess
         import sys
 
@@ -221,6 +192,12 @@ class TestBackendSelection:
         )
         assert result.stdout.strip() == "packed"
 
+    def test_unpacked_mode_packs_nothing_and_restores(self):
+        ctx = Context(["a", "b"])
+        with unpacked():
+            assert Anf(ctx, [1, 2]).term_matrix(build=True) is None
+        assert Anf(ctx, [1, 2]).term_matrix(build=True) is not None
+
 
 class TestWideContexts:
     """Terms over 64 variable indices cannot pack; everything must fall back."""
@@ -231,18 +208,18 @@ class TestWideContexts:
         results = {}
         from repro.anf import majority
 
-        for backend in ("set", "packed"):
+        for mode in ("unpacked", "packed"):
             ctx = Context([f"w{i}" for i in range(70)])
             names = [f"w{i}" for i in range(62, 70)]  # bits 62..69 cross word size
-            maj = majority([Anf.var(ctx, n) for n in names], ctx)
-            with using_backend(backend):
+            with running(mode):
+                maj = majority([Anf.var(ctx, n) for n in names], ctx)
                 d = progressive_decomposition({"m": maj}, DecompositionOptions(), input_words=[names])
             assert d.verify()
-            results[backend] = (
+            results[mode] = (
                 [(b.name, sorted(b.definition.terms)) for b in d.blocks],
                 {p: sorted(e.terms) for p, e in d.outputs.items()},
             )
-        assert results["set"] == results["packed"]
+        assert results["unpacked"] == results["packed"]
 
     def test_wide_anf_fast_paths_degrade(self):
         ctx = Context([f"w{i}" for i in range(70)])
@@ -251,7 +228,7 @@ class TestWideContexts:
         assert wide.term_key() == wide.terms
         assert wide.literal_count == 5
         assert wide.support_mask == (1 << 69) | (1 << 68) | 5
-        buckets, remainder = PackedBackend().split_by_group(wide, 0b100)
+        buckets, remainder = wide.split_by_group(0b100)
         assert sorted(buckets) == [0b100]
         assert set(buckets[0b100].terms) == {1 << 68, 1}
         assert set(remainder.terms) == {1 << 69}
@@ -261,7 +238,7 @@ class TestWideMasksOnPackedRows:
     """A matrix-backed expression in a context of more than 64 variables: its
     rows fit a word, but the masks it is queried with need not.  Python-int
     masks past bit 63 overflow ``np.uint64`` arithmetic, so every query must
-    agree with the set backend on both kernel bodies."""
+    agree with the per-term computation on both kernel bodies."""
 
     WIDTH = 72
 
@@ -273,7 +250,7 @@ class TestWideMasksOnPackedRows:
         tags_mask=st.integers(min_value=0, max_value=(1 << WIDTH) - 1),
     )
     @settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_matches_set_backend(
+    def test_matches_per_term_paths(
         self, kernel_mode, terms, ones_mask, var, value, tags_mask
     ):
         ctx = Context([f"w{i}" for i in range(self.WIDTH)])
@@ -286,13 +263,9 @@ class TestWideMasksOnPackedRows:
         )
         name = f"w{var}"
         assert lazy.cofactor(name, value).terms == plain.cofactor(name, value).terms
-        assert {
-            bit: comp.terms
-            for bit, comp in PackedBackend().scatter_by_tags(lazy, tags_mask).items()
-        } == {
-            bit: comp.terms
-            for bit, comp in SetBackend().scatter_by_tags(plain, tags_mask).items()
-        }
+        with unpacked():
+            expected = _scatter_terms(Anf(ctx, terms), tags_mask)
+        assert _scatter_terms(lazy, tags_mask) == expected
         for mask in (tags_mask, tags_mask & ((1 << 64) - 1), 1 << var):
             contained = all(t & mask == mask for t in terms)
             assert matrix.contains_all(mask) == contained

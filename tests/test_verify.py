@@ -3,17 +3,18 @@
 ``Decomposition.verify()`` (the DAG engine) must return exactly the verdict
 of ``Decomposition.verify(method="flatten")`` (the whole-spec re-expansion
 kept as the reference) — on valid decompositions, on deliberately corrupted
-ones, and under both term backends.  The
+ones, and both packed and with nothing packing.  The
 level-substitution kernel itself is checked against ``Anf.substitute`` on
-arbitrary inputs, and the per-iteration rewrite gate (``REPRO_VERIFY_STEPS``)
-must accept every engine-produced step and reject a sabotaged one.
+arbitrary inputs, and the per-iteration rewrite gate
+(``RewritePass(verify_steps=True)``) must accept every engine-produced step
+and reject a sabotaged one.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from kernel_bodies import running
 
 from repro.anf import Anf, Context
-from repro.anf.backend import using_backend
 from repro.core import (
     DecompositionOptions,
     VerificationError,
@@ -34,7 +35,7 @@ from repro.engine import (
     RewritePass,
 )
 
-BACKENDS = ("set", "packed")
+BACKENDS = ("unpacked", "packed")
 
 
 def _decompose(outputs_terms, num_vars=6, options=None):
@@ -91,7 +92,7 @@ class TestVerdictParity:
     @given(outputs_terms=terms_strategy)
     @settings(max_examples=25, deadline=None)
     def test_valid_decompositions_verify_on_both_engines(self, backend, outputs_terms):
-        with using_backend(backend):
+        with running(backend):
             try:
                 decomposition = _decompose(outputs_terms)
             except RuntimeError:
@@ -128,7 +129,7 @@ class TestVerdictParity:
     def test_corrupted_definitions_fail_on_both_engines(
         self, backend, outputs_terms, block_choice, flip
     ):
-        with using_backend(backend):
+        with running(backend):
             try:
                 decomposition = _decompose(outputs_terms)
             except RuntimeError:
@@ -224,16 +225,23 @@ class TestVerdictParity:
 
 class TestRewriteGate:
     def test_gated_pipeline_accepts_engine_steps(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY_STEPS", "1")
-        decomposition = _decompose([[1, 2, 3, 6, 9], [5, 6]])
-        assert decomposition.verify()
+        import repro.engine.passes as passes_module
 
-    def test_env_switch_controls_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VERIFY_STEPS", raising=False)
-        assert RewritePass().verify_steps is False
-        monkeypatch.setenv("REPRO_VERIFY_STEPS", "1")
-        assert RewritePass().verify_steps is True
-        monkeypatch.setenv("REPRO_VERIFY_STEPS", "off")
+        checked = []
+        check = passes_module.check_rewrite_invariant
+        monkeypatch.setattr(
+            passes_module, "check_rewrite_invariant",
+            lambda *args: checked.append(args) or check(*args),
+        )
+        ctx = Context([f"v{i}" for i in range(6)])
+        outputs = {"o0": Anf(ctx, [1, 2, 3, 6, 9]), "o1": Anf(ctx, [5, 6])}
+        ungated = Pipeline.from_options(DecompositionOptions()).passes
+        pipeline = Pipeline([*ungated[:-1], RewritePass(verify_steps=True)])
+        decomposition = pipeline.run(outputs)
+        assert decomposition.verify()
+        assert len(checked) == len(decomposition.iterations) > 0
+
+    def test_gate_is_off_by_default(self):
         assert RewritePass().verify_steps is False
         assert RewritePass(verify_steps=True).verify_steps is True
 

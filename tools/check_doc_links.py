@@ -50,7 +50,9 @@ def tracked_markdown(root: Path) -> list[Path]:
         ).stdout
         files = [root / line for line in out.splitlines() if line]
         if files:
-            return files
+            # A tracked file deleted from the working tree holds no links;
+            # links pointing to it are still checked (and reported broken).
+            return [path for path in files if path.is_file()]
     except (OSError, subprocess.CalledProcessError):
         pass
     return sorted(p for p in root.rglob("*.md") if ".git" not in p.parts)
