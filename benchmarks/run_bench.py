@@ -187,7 +187,10 @@ def bench_orchestrated(
     return results
 
 
-RESULT_KEYS = ("width", "blocks", "levels", "block_literals", "output_literals")
+#: Per-circuit results that must match the baseline exactly: the
+#: decomposition's shape and the area/delay its structured netlist maps to.
+RESULT_KEYS = ("width", "blocks", "levels", "block_literals", "output_literals",
+               "area", "delay")
 
 
 def compare(current: Dict[str, object], baseline: Dict[str, object], tolerance: float) -> int:

@@ -697,6 +697,9 @@ def xor_accumulate(exprs: Iterable[Anf], ctx: Context) -> Anf:
         if matrix is None:
             # An unpackable piece: collapse what is batched so far and fall
             # back to pairwise folds for the rest of the stream.
+            if accumulated is None and not batch:
+                residue = expr
+                continue
             merged = batch if accumulated is None else [accumulated, *batch]
             rows = sortkernel.parity_merge(merged)
             residue = Anf._from_matrix(ctx, TermMatrix(rows)) ^ expr

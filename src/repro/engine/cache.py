@@ -317,15 +317,23 @@ def decode_record(raw: bytes) -> dict:
     pieces = []
     done = 0  # bytes of ``raw`` already spliced into ``pieces``
     close = -1
-    for match in _ROW_SPAN_OPEN.finditer(raw):
+    match = _ROW_SPAN_OPEN.search(raw)
+    while match is not None:
         start = match.start() + 1
         if start > close:  # else the ``]`` found last is still the next one
             close = raw.find(b"]", start)
             if close < 0:
                 break
-        # A span holding a ``[`` is never canonical, and skipping it keeps
-        # the spans handed to numpy disjoint, so the scan stays linear.
-        if close - start < min_len or raw.find(b"[", start, close) >= 0:
+        # A span holding a ``[`` is never canonical: the scan goes on at that
+        # ``[``.  Any other span holds no further candidate, so the scan
+        # resumes past its ``]`` instead of walking its digits again; the
+        # spans handed to numpy stay disjoint and the scan stays linear.
+        inner = raw.find(b"[", start, close)
+        if inner >= 0:
+            match = _ROW_SPAN_OPEN.search(raw, inner)
+            continue
+        match = _ROW_SPAN_OPEN.search(raw, close + 1)
+        if close - start < min_len:
             continue
         parsed = _canonical_rows(raw[start:close])
         if parsed is None:
@@ -697,12 +705,9 @@ def netlist_digest(netlist) -> str:
 
 
 def library_fingerprint(library) -> str:
-    """Stable fingerprint of a cell library's timing/area model."""
-    cells = ";".join(
-        f"{cell.name}:{cell.op}/{cell.arity}:{cell.area}:{cell.delay}:{cell.load_delay}"
-        for _, cell in sorted(library.cells.items())
-    )
-    return hashlib.sha256(f"{library.name}|{cells}".encode("utf-8")).hexdigest()
+    """Stable fingerprint of a cell library's timing/area model
+    (:meth:`~repro.synth.library.Library.fingerprint`)."""
+    return library.fingerprint()
 
 
 def synthesis_cache_key(design_digest: str, library_fp: str, params: dict) -> str:

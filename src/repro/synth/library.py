@@ -10,6 +10,7 @@ between architectures mapped onto the same library.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, Iterable
 
@@ -45,6 +46,7 @@ class Library:
         self.name = name
         self._cells: Dict[str, Cell] = {}
         self._by_op: Dict[tuple[str, int], Cell] = {}
+        self._fingerprint: str | None = None
         for cell in cells:
             self.add_cell(cell)
 
@@ -52,11 +54,28 @@ class Library:
         if cell.name in self._cells:
             raise ValueError(f"duplicate cell name {cell.name!r}")
         self._cells[cell.name] = cell
+        self._fingerprint = None
         key = (cell.op, cell.arity)
         existing = self._by_op.get(key)
         # Keep the smallest-area cell as the default choice for an op/arity.
         if existing is None or cell.area < existing.area:
             self._by_op[key] = cell
+
+    def fingerprint(self) -> str:
+        """Stable digest of the library's name and every cell's timing/area
+        model (cached until the next :meth:`add_cell`).
+
+        Two libraries with the same content share it, so it keys whatever
+        outlives one ``Library`` object: synthesis cache records and the
+        per-process structuring memo.
+        """
+        if self._fingerprint is None:
+            cells = ";".join(
+                f"{cell.name}:{cell.op}/{cell.arity}:{cell.area}:{cell.delay}:{cell.load_delay}"
+                for _, cell in sorted(self._cells.items())
+            )
+            self._fingerprint = hashlib.sha256(f"{self.name}|{cells}".encode("utf-8")).hexdigest()
+        return self._fingerprint
 
     @property
     def cells(self) -> Dict[str, Cell]:

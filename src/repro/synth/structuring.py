@@ -18,7 +18,8 @@ Strategies:
     multiplexer network; robust for any size, architecture-preserving.
 ``auto``
     Try all applicable strategies, map each candidate onto the target library
-    and keep the best one under the requested objective.
+    and keep the best one under the requested objective; the winner is
+    remembered per expression shape and replayed on later ones.
 """
 
 from __future__ import annotations
@@ -267,6 +268,62 @@ def emit_with_strategy(emit: EmitContext, expr: Anf, strategy: str) -> str:
     return function(emit, expr)
 
 
+def build_candidate(expr: Anf, strategy: str) -> Netlist:
+    """``expr`` structured by ``strategy`` alone, in a scratch netlist whose
+    inputs are its support in index order and whose one output is ``f``."""
+    scratch = Netlist(f"scratch_{strategy}")
+    support = expr.support
+    scratch.add_inputs(support)
+    emit = EmitContext(scratch, {name: name for name in support})
+    scratch.set_output("f", emit_with_strategy(emit, expr, strategy))
+    return scratch
+
+
+# The winning structure per (library fingerprint, objective, shape), for the
+# life of the process.  Two expressions that differ only by an
+# order-preserving renaming of their support build isomorphic netlists under
+# every strategy, and structured circuits repeat a handful of block shapes
+# (full-adder sums, carries, priority cells) dozens of times, job after job.
+# Keys and templates hold only ints and strings, so the collector untracks
+# them.
+_WINNERS: Dict[tuple, tuple] = {}
+
+#: Entries kept before the structuring memo is cleared wholesale.
+WINNER_MEMO_LIMIT = 1 << 14
+
+
+def _shape_key(expr: Anf) -> tuple[int, ...]:
+    """The expression's terms, ascending, with its support compressed to 0..m-1."""
+    position_of: Dict[int, int] = {}
+    support = expr.support_mask
+    while support:
+        low = support & -support
+        position_of[low] = len(position_of)
+        support ^= low
+    shape = []
+    for term in expr.term_list():
+        local = 0
+        mask = term
+        while mask:
+            low = mask & -mask
+            local |= 1 << position_of[low]
+            mask ^= low
+        shape.append(local)
+    return tuple(sorted(shape))
+
+
+def _template(candidate: Netlist) -> tuple:
+    """``(gates, out)``: each gate of ``candidate`` in order as ``(op, refs)``,
+    and its output.  A ref below the input count is a support position;
+    ref ``m + k`` is the output of gate ``k``."""
+    ref = {name: index for index, name in enumerate(candidate.inputs)}
+    gates = []
+    for gate in candidate:
+        gates.append((gate.op, tuple(ref[net] for net in gate.inputs)))
+        ref[gate.output] = len(ref)
+    return tuple(gates), ref[candidate.outputs["f"]]
+
+
 def emit_auto(
     emit: EmitContext,
     expr: Anf,
@@ -275,8 +332,12 @@ def emit_auto(
 ) -> str:
     """Pick the best applicable strategy for this expression and emit it.
 
-    Candidates are built in scratch netlists, technology mapped, and scored
-    under ``objective`` (``"delay"``, ``"area"`` or ``"balanced"``).
+    On the first expression of its shape, candidates are built in scratch
+    netlists, technology mapped, and scored under ``objective``
+    (``"delay"``, ``"area"`` or ``"balanced"``).  The winner's gates are
+    remembered for the shape and replayed into ``emit.netlist``, with
+    support position *i* wired to the net of the *i*-th support variable,
+    for this expression and every later one of the same shape.
     """
     from .synthesize import score_candidate  # local import to avoid a cycle
 
@@ -285,20 +346,32 @@ def emit_auto(
     if expr.is_literal:
         return emit.net_for_var(expr.literal_name)
     library = library or default_library()
-    candidates = available_strategies(expr)
-    best_name = None
-    best_score: tuple[float, float] | None = None
-    for name in candidates:
-        try:
-            score = score_candidate(expr, name, library, objective)
-        except StructuringError:
-            continue
-        if best_score is None or score < best_score:
-            best_score = score
-            best_name = name
-    if best_name is None:
-        best_name = "shannon"
-    return emit_with_strategy(emit, expr, best_name)
+    key = (library.fingerprint(), objective, _shape_key(expr))
+    template = _WINNERS.get(key)
+    if template is None:
+        best = None
+        best_score: tuple[float, float] | None = None
+        for name in available_strategies(expr):
+            try:
+                candidate = build_candidate(expr, name)
+            except StructuringError:
+                continue
+            score = score_candidate(candidate, library, objective)
+            if best_score is None or score < best_score:
+                best_score = score
+                best = candidate
+        if best is None:  # nothing applied: surface shannon's own error
+            best = build_candidate(expr, "shannon")
+        template = _template(best)
+        if len(_WINNERS) >= WINNER_MEMO_LIMIT:
+            _WINNERS.clear()
+        _WINNERS[key] = template
+    gates, out = template
+    nets = [emit.net_for_var(name) for name in expr.support]
+    add_gate = emit.netlist.add_gate
+    for op, refs in gates:
+        nets.append(add_gate(op, [nets[ref] for ref in refs]))
+    return nets[out]
 
 
 def build_netlist_from_expressions(

@@ -9,20 +9,14 @@ Table 1 harness reports.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence
 
 from ..anf.expression import Anf
 from ..circuit.netlist import Netlist
 from .library import Library, default_library
 from .mapping import MappedDesign, technology_map
-from .structuring import (
-    EmitContext,
-    StructuringError,
-    build_netlist_from_expressions,
-    emit_with_strategy,
-)
+from .structuring import build_netlist_from_expressions
 from .timing import TimingReport, analyze_timing
 
 
@@ -102,84 +96,19 @@ def synthesize_expressions(
     return synthesize_netlist(netlist, library, name)
 
 
-# Candidate scores keyed by (expression shape, strategy, objective) per
-# library.  Two expressions that differ only by an order-preserving renaming
-# of their support build isomorphic scratch netlists and therefore map to the
-# same area/delay, and structured circuits repeat a handful of block shapes
-# (full-adder sums, carries, priority cells) dozens of times.
-_SCORE_MEMO: "weakref.WeakKeyDictionary[Library, Dict]" = weakref.WeakKeyDictionary()
-
-#: Entries kept per library before the shape memo is cleared wholesale.
-SCORE_MEMO_LIMIT = 1 << 14
-
-#: Sentinel recording that a strategy is structurally inapplicable to a shape.
-_INAPPLICABLE = object()
-
-
-def _shape_key(expr: Anf) -> frozenset:
-    """The expression's term set with its support compressed to 0..m-1."""
-    position_of: Dict[int, int] = {}
-    support = expr.support_mask
-    while support:
-        low = support & -support
-        position_of[low] = len(position_of)
-        support ^= low
-    shape = []
-    for term in expr.terms:
-        local = 0
-        mask = term
-        while mask:
-            low = mask & -mask
-            local |= 1 << position_of[low]
-            mask ^= low
-        shape.append(local)
-    return frozenset(shape)
-
-
 def score_candidate(
-    expr: Anf, strategy: str, library: Library, objective: str = "delay"
+    candidate: Netlist, library: Library, objective: str = "delay"
 ) -> tuple[float, float]:
-    """Map a single-expression candidate structure and score it.
+    """Map a candidate structure (a scratch netlist with one output) and score it.
 
     Returns a tuple ordered so that smaller is better under ``objective``:
     ``"delay"`` -> (delay, area), ``"area"`` -> (area, delay),
-    ``"balanced"`` -> (area*delay, delay).  Scores are memoised per library
-    on the expression's *shape*, so repeated block structures score in O(1).
+    ``"balanced"`` -> (area*delay, delay).
     """
-    memo = _SCORE_MEMO.get(library)
-    if memo is None:
-        memo = _SCORE_MEMO[library] = {}
-    key = (_shape_key(expr), strategy, objective)
-    cached = memo.get(key)
-    if cached is not None:
-        if cached is _INAPPLICABLE:
-            raise StructuringError(
-                f"strategy {strategy!r} is not applicable to this expression shape"
-            )
-        return cached
-    scratch = Netlist(f"scratch_{strategy}")
-    support = list(expr.support)
-    scratch.add_inputs(support)
-    emit = EmitContext(scratch, {name: name for name in support})
-    try:
-        net = emit_with_strategy(emit, expr, strategy)
-    except StructuringError:
-        # Only the deterministic "strategy does not apply" signal is worth
-        # remembering; environment-dependent failures must not be sticky.
-        if len(memo) >= SCORE_MEMO_LIMIT:
-            memo.clear()
-        memo[key] = _INAPPLICABLE
-        raise
-    scratch.set_output("f", net)
-    mapped = technology_map(scratch, library)
+    mapped = technology_map(candidate, library)
     timing = analyze_timing(mapped)
     if objective == "area":
-        score: Tuple[float, float] = (mapped.area, timing.delay)
-    elif objective == "balanced":
-        score = (mapped.area * max(timing.delay, 1e-9), timing.delay)
-    else:
-        score = (timing.delay, mapped.area)
-    if len(memo) >= SCORE_MEMO_LIMIT:
-        memo.clear()
-    memo[key] = score
-    return score
+        return (mapped.area, timing.delay)
+    if objective == "balanced":
+        return (mapped.area * max(timing.delay, 1e-9), timing.delay)
+    return (timing.delay, mapped.area)

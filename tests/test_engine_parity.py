@@ -381,6 +381,26 @@ class TestWideIndexJobParity:
         assert any(e.term_matrix(build=True) is None for e in packed.outputs.values())
 
 
+@pytest.mark.parametrize("circuit, width", [("adder", 10), ("counter", 12),
+                                            ("three_input_adder", 7)])
+def test_unpacked_substitution_builds_no_empty_matrix(monkeypatch, circuit, width):
+    """``xor_accumulate`` starts its per-term fold from the first unpackable
+    piece itself, not from an empty matrix of the nothing batched before it."""
+    built = []
+    real = Anf.__dict__["_from_matrix"].__func__
+
+    def spy(cls, ctx, matrix):
+        built.append(matrix.count)
+        return real(cls, ctx, matrix)
+
+    monkeypatch.setattr(Anf, "_from_matrix", classmethod(spy))
+    with running("unpacked"):
+        outputs, words = _benchmark(circuit, width)()
+        result = progressive_decomposition(outputs, DecompositionOptions(), input_words=words)
+        assert result.verify()
+    assert 0 not in built
+
+
 class TestWordArithmeticFuzz:
     """Differential fuzzer over random ``Word``-arithmetic specs at 8–12
     input bits.  Each spec decomposes unpacked, packed on the numpy bodies

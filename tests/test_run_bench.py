@@ -2,7 +2,8 @@
 
 A missing, malformed or mode-mismatched baseline must exit 2 with one line
 naming the path *before* any circuit runs — not after a full sweep, and not
-with exit code 1, which means a real regression.
+with exit code 1, which means a real regression.  A changed result,
+including the synthesised area or delay, is such a regression.
 """
 
 import importlib.util
@@ -55,3 +56,13 @@ def test_mode_mismatch_exits_2_before_the_sweep(run_bench, tmp_path, capsys, arg
     err = capsys.readouterr().err.strip()
     assert str(baseline) in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("key, changed", [("area", 512.1), ("delay", 0.352)])
+def test_compare_fails_when_area_or_delay_changes(run_bench, capsys, key, changed):
+    baseline = json.loads((RUN_BENCH.parent / "BENCH_native.json").read_text())
+    current = json.loads(json.dumps(baseline))
+    assert run_bench.compare(current, baseline, tolerance=3.0) == 0
+    current["circuits"]["adder"][key] = changed
+    assert run_bench.compare(current, baseline, tolerance=3.0) == 1
+    assert f"adder: {key} changed" in capsys.readouterr().out
