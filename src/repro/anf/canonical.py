@@ -90,10 +90,18 @@ def _canonical_parts(outputs: Mapping[str, Anf]) -> tuple[List[str], Dict[str, o
     return list(ctx.names_of(support_mask)), rendered
 
 
-def _row_bytes(rows, mask_bytes: int) -> bytes:
-    """Rows as concatenated ``mask_bytes``-wide little-endian words."""
+def _row_bytes(rows, mask_bytes: int):
+    """Rows as concatenated ``mask_bytes``-wide little-endian words.
+
+    Returns a bytes-like object for the hash to read.  For 1-, 2-, 4- and
+    8-byte masks that is one narrowing cast (rows fit their mask, so it
+    drops only zero bytes) and no copy at all when the rows are already
+    ``<u8``; other widths slice each row's low bytes out of a byte view.
+    """
     if isinstance(rows, list):
         return b"".join(mask.to_bytes(mask_bytes, "little") for mask in rows)
+    if mask_bytes in (1, 2, 4, 8):
+        return memoryview(np.ascontiguousarray(rows.astype(f"<u{mask_bytes}", copy=False)))
     little = rows.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
     return little[:, :mask_bytes].tobytes()
 

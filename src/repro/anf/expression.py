@@ -115,6 +115,19 @@ class Anf:
         return expr
 
     @classmethod
+    def from_rows(cls, ctx: Context, rows) -> "Anf":
+        """An expression from a strictly ascending ``uint64`` row vector.
+
+        The rows become the packed matrix as they are
+        (:meth:`TermMatrix.from_sorted`); where that declines, they become
+        the frozenset instead.
+        """
+        matrix = TermMatrix.from_sorted(rows)
+        if matrix is None:
+            return cls._raw(ctx, frozenset(rows.tolist()))
+        return cls._from_matrix(ctx, matrix)
+
+    @classmethod
     def zero(cls, ctx: Context) -> "Anf":
         """The constant ``0``."""
         return cls._raw(ctx, frozenset())

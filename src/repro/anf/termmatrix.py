@@ -66,6 +66,17 @@ class TermMatrix:
             return None
         return cls(rows)
 
+    @classmethod
+    def from_sorted(cls, rows: np.ndarray) -> Optional["TermMatrix"]:
+        """Adopt a strictly ascending ``uint64`` row vector (sealed, no copy).
+
+        The closed-form spec builders generate their rows already sorted and
+        distinct, so nothing is re-sorted or checked here.  Like
+        :meth:`from_terms`, it is a point where a term set enters packed
+        storage, and the tests' ``unpacked`` mode makes both decline.
+        """
+        return cls(sortkernel._frozen(np.ascontiguousarray(rows, dtype=np.uint64)))
+
     # ------------------------------------------------------------------
     # Cheap views
     # ------------------------------------------------------------------

@@ -4,7 +4,8 @@ The function is ``gt = (A > B)`` for two unsigned ``width``-bit operands.
 
 * :func:`comparator_spec` — canonical Boolean specification (what PD
   consumes; PD is expected to rediscover the borrow/carry chain — "the
-  comparator function is the same as the sign of the subtraction");
+  comparator function is the same as the sign of the subtraction"), whose
+  rows :func:`greater_than_rows` writes from the recurrence directly;
 * :func:`progressive_comparator_netlist` — the unoptimised description: the
   MSB-first "compare, and on equality look at the next bit" chain;
 * :func:`subtracter_carry_comparator_netlist` — the manual reference: the
@@ -16,11 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+import numpy as np
+
 from ..anf.context import Context
 from ..anf.expression import Anf
-from ..anf.word import Word
 from ..circuit import gates
 from ..circuit.netlist import Netlist
+from .closed_form import input_indices, rows_anf
 
 
 @dataclass
@@ -40,12 +43,41 @@ def comparator_spec(width: int = 15, ctx: Context | None = None,
     if width < 1:
         raise ValueError("comparator needs at least one bit")
     ctx = ctx or Context()
-    a = Word.inputs(ctx, prefix_a, width)
-    b = Word.inputs(ctx, prefix_b, width)
-    gt = a.greater_than(b)
-    a_bits = [f"{prefix_a}{i}" for i in range(width)]
-    b_bits = [f"{prefix_b}{i}" for i in range(width)]
+    a_bits = ctx.bus(prefix_a, width)
+    b_bits = ctx.bus(prefix_b, width)
+    indices = input_indices(ctx, a_bits + b_bits)
+    gt = rows_anf(ctx, indices, greater_than_rows(width))
     return ComparatorSpec(ctx, width, a_bits + b_bits, {"gt": gt}, [a_bits, b_bits])
+
+
+def greater_than_rows(width: int) -> np.ndarray:
+    """Sorted rows of ``A > B`` with ``a_i`` at bit ``i`` and ``b_i`` at bit ``width + i``.
+
+    From the LSB up, ``gt_{i+1} = a_i·(1 ⊕ b_i) ⊕ (1 ⊕ a_i ⊕ b_i)·gt_i``:
+    bit ``i`` decides, or on equality the lower bits' verdict stands.  Its
+    terms are ``{a_i, a_i·b_i}`` beside ``gt_i·{1, a_i, b_i}``, and nothing
+    cancels (``gt_i`` has no constant term and no variable at position
+    ``i``), so there are ``3^width − 1`` rows.  Each step builds the rows
+    below ``b_i``'s bit (``gt``, ``gt|a_i``, ``a_i``) and those above it
+    (``a_i|b_i``, ``gt|b_i``) as two arrays, sorts each (a few sorted runs,
+    which a stable sort merges) and joins them.
+
+    Writing both halves into one preallocated buffer instead saves a copy,
+    but measured over whole cold-then-warm job sequences it did worse: it
+    frees no large array, so glibc's dynamic mmap threshold stays low and
+    later warm jobs and record parses map fresh memory (cold-wide: 16–20%
+    fewer warm hits per second and 7% more peak RSS, 2 vCPUs).
+    """
+    gt = np.empty(0, dtype=np.uint64)
+    for i in range(width):
+        a = np.uint64(1 << i)
+        b = np.uint64(1 << (width + i))
+        low = np.concatenate((gt, gt | a, [a]))
+        low.sort(kind="stable")
+        high = np.concatenate(([a | b], gt | b))
+        high.sort(kind="stable")
+        gt = np.concatenate((low, high))
+    return gt
 
 
 def progressive_comparator_netlist(width: int = 15, prefix_a: str = "a", prefix_b: str = "b",

@@ -21,9 +21,9 @@ from typing import Dict, List
 
 from ..anf.context import Context
 from ..anf.expression import Anf
-from ..anf.word import popcount_word
 from ..circuit import gates
 from ..circuit.netlist import Netlist
+from .closed_form import input_indices, rows_anf, symmetric_rows
 
 
 @dataclass
@@ -38,14 +38,39 @@ class CounterSpec:
 
 
 def counter_spec(width: int = 16, ctx: Context | None = None, prefix: str = "a") -> CounterSpec:
-    """Population count of ``width`` input bits, as canonical Reed-Muller outputs."""
+    """Population count of ``width`` input bits, as canonical Reed-Muller outputs.
+
+    Bit ``k`` of the count is symmetric in the inputs; its rows come from
+    :func:`~repro.benchcircuits.closed_form.symmetric_rows` (they are the
+    weight-``2^k`` monomials, ``e_{2^k}``).  The outputs are as many as
+    :func:`~repro.anf.word.popcount_word`'s adder tree produces, so a tree
+    wider than the count keeps its constant-zero top bits (``s4`` of the
+    12-bit counter).
+    """
     if width < 1:
         raise ValueError("counter needs at least one input")
     ctx = ctx or Context()
     bits = ctx.bus(prefix, width)
-    count = popcount_word(ctx, [Anf.var(ctx, bit) for bit in bits])
-    outputs = count.as_outputs("s")
+    indices = input_indices(ctx, bits)
+    tables = [[j >> k & 1 for j in range(width + 1)] for k in range(_popcount_tree_width(width))]
+    outputs = {
+        f"s{k}": rows_anf(ctx, indices, rows)
+        for k, rows in enumerate(symmetric_rows(width, tables))
+    }
     return CounterSpec(ctx, width, bits, outputs, [list(bits)])
+
+
+def _popcount_tree_width(width: int) -> int:
+    """Output width of :func:`~repro.anf.word.popcount_word` on ``width`` bits.
+
+    Its tree adds neighbouring words pairwise, each sum one bit wider than
+    its wider operand, and carries an odd word up unchanged.
+    """
+    widths = [1] * width
+    while len(widths) > 1:
+        paired = [max(widths[i], widths[i + 1]) + 1 for i in range(0, len(widths) - 1, 2)]
+        widths = paired + widths[len(widths) - len(widths) % 2:]
+    return widths[0]
 
 
 def _ripple_add(netlist: Netlist, a: List[str], b: List[str], width: int) -> List[str]:

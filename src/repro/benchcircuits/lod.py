@@ -16,7 +16,6 @@ from typing import Dict, List
 from ..anf.context import Context
 from ..anf.expression import Anf, anf_product
 from ..anf.sop import Cube, Sop
-from .lzd import _position_indicators
 
 
 @dataclass
@@ -28,6 +27,26 @@ class LodSpec:
     inputs: List[str]
     outputs: Dict[str, Anf]
     input_words: List[List[str]]
+
+
+def _position_indicators(ctx: Context, bits: List[str], detect_one: bool) -> List[Anf]:
+    """``x[i]`` = the first *interesting* bit from the left is at offset ``i``.
+
+    ``detect_one=True`` gives the LZD indicators (leading bits are zero, bit
+    ``i`` from the left is one); ``detect_one=False`` gives the LOD/leading-
+    zero-search variant used by the paper's LOD benchmark.
+    """
+    width = len(bits)
+    indicators = []
+    for i in range(width):
+        factors = []
+        for j in range(i):
+            prefix = Anf.var(ctx, bits[width - 1 - j])
+            factors.append(~prefix if detect_one else prefix)
+        pivot = Anf.var(ctx, bits[width - 1 - i])
+        factors.append(pivot if detect_one else ~pivot)
+        indicators.append(anf_product(factors, ctx))
+    return indicators
 
 
 def lod_spec(width: int = 32, ctx: Context | None = None, prefix: str = "a") -> LodSpec:

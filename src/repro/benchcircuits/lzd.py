@@ -10,8 +10,9 @@ Outputs:
 
 Three descriptions are provided, mirroring the paper's experiments:
 
-* :func:`lzd_spec` — the flat Boolean specification (canonical Reed-Muller);
-  this is the description fed both to the baseline flow and to Progressive
+* :func:`lzd_spec` — the flat Boolean specification (canonical Reed-Muller),
+  whose rows :func:`lzd_rows` writes from the closed form; this is the
+  description fed both to the baseline flow and to Progressive
   Decomposition;
 * :func:`lzd_sop` — the two-level SOP description of Figure 1 (one product
   term per leading-one position);
@@ -28,11 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+import numpy as np
+
 from ..anf.context import Context
-from ..anf.expression import Anf, anf_product
+from ..anf.expression import Anf
 from ..anf.sop import Cube, Sop
 from ..circuit import gates
 from ..circuit.netlist import Netlist
+from .closed_form import input_indices, rows_anf
 
 
 @dataclass
@@ -46,51 +50,41 @@ class LzdSpec:
     input_words: List[List[str]]
 
 
-def _position_indicators(ctx: Context, bits: List[str], detect_one: bool) -> List[Anf]:
-    """``x[i]`` = the first *interesting* bit from the left is at offset ``i``.
-
-    ``detect_one=True`` gives the LZD indicators (leading bits are zero, bit
-    ``i`` from the left is one); ``detect_one=False`` gives the LOD/leading-
-    zero-search variant used by the paper's LOD benchmark.
-    """
-    width = len(bits)
-    indicators = []
-    for i in range(width):
-        factors = []
-        for j in range(i):
-            prefix = Anf.var(ctx, bits[width - 1 - j])
-            factors.append(~prefix if detect_one else prefix)
-        pivot = Anf.var(ctx, bits[width - 1 - i])
-        factors.append(pivot if detect_one else ~pivot)
-        indicators.append(anf_product(factors, ctx))
-    return indicators
-
-
 def lzd_spec(width: int = 16, ctx: Context | None = None, prefix: str = "a") -> LzdSpec:
     """Flat LZD specification in canonical Reed-Muller form."""
     if width < 2:
         raise ValueError("LZD needs at least 2 input bits")
     ctx = ctx or Context()
     bits = ctx.bus(prefix, width)
-    indicators = _position_indicators(ctx, bits, detect_one=True)
-    position_bits = max(1, (width - 1).bit_length())
-    outputs: Dict[str, Anf] = {}
-    for k in range(position_bits):
-        acc = Anf.zero(ctx)
-        for i, indicator in enumerate(indicators):
-            count = i if i < width else width - 1
-            if count >> k & 1:
-                acc = acc ^ indicator
-        # All-zero input saturates the count at width-1.
-        all_zero = anf_product([~Anf.var(ctx, bit) for bit in bits], ctx)
-        if (width - 1) >> k & 1:
-            acc = acc ^ all_zero
-        outputs[f"z{k}"] = acc
-    valid = Anf.zero(ctx)
-    for bit in bits:
-        valid = valid | Anf.var(ctx, bit)
-    outputs["v"] = valid
+    indices = input_indices(ctx, bits)
+    outputs = {port: rows_anf(ctx, indices, rows) for port, rows in lzd_rows(width).items()}
     return LzdSpec(ctx, width, bits, outputs, [list(bits)])
+
+
+def lzd_rows(width: int) -> Dict[str, np.ndarray]:
+    """Sorted rows of every LZD output, with ``a_i`` at bit ``i``.
+
+    The leading-one indicator of bit ``p`` is ``a_p·∏_{j>p}(1 ⊕ a_j)``: every
+    monomial whose lowest variable is ``p``.  So each nonempty monomial
+    ``r`` belongs to exactly one indicator, whose count is
+    ``width − 1 − ctz(r)``.  The all-zero term ``∏(1 ⊕ a_j)`` (every
+    monomial, the constant included) saturates the count at ``width − 1``,
+    so ``z_k`` keeps the ``r`` whose count's bit ``k`` differs from bit
+    ``k`` of ``width − 1``, plus the constant when that bit is set.  ``v``,
+    the OR of the inputs, is every nonempty monomial.
+    """
+    top = width - 1
+    monomials = np.arange(1, 1 << width, dtype=np.uint64)
+    lowest = np.bitwise_count(monomials ^ (monomials - np.uint64(1))) - 1
+    outputs: Dict[str, np.ndarray] = {}
+    for k in range(max(1, top.bit_length())):
+        flips = np.array([((top - p) ^ top) >> k & 1 for p in range(width)], dtype=bool)
+        rows = monomials[flips[lowest]]
+        if top >> k & 1:
+            rows = np.concatenate((np.zeros(1, dtype=np.uint64), rows))
+        outputs[f"z{k}"] = rows
+    outputs["v"] = monomials
+    return outputs
 
 
 def lzd_sop(spec: LzdSpec) -> Dict[str, Sop]:

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List
 
-from ..anf.builders import majority, variables
 from ..anf.context import Context
 from ..anf.expression import Anf
 from ..anf.sop import Cube, Sop
+from .closed_form import input_indices, rows_anf, symmetric_rows
 
 
 @dataclass
@@ -31,13 +31,19 @@ class MajoritySpec:
 
 
 def majority_spec(width: int = 15, ctx: Context | None = None, prefix: str = "a") -> MajoritySpec:
-    """Majority of ``width`` inputs (true when at least ``(width+1)//2`` are one)."""
+    """Majority of ``width`` inputs (true when at least ``(width+1)//2`` are one).
+
+    The function is symmetric, so its rows come from
+    :func:`~repro.benchcircuits.closed_form.symmetric_rows`.
+    """
     if width < 1:
         raise ValueError("majority needs at least one input")
     ctx = ctx or Context()
     bits = ctx.bus(prefix, width)
-    expr = majority(variables(ctx, bits), ctx)
-    return MajoritySpec(ctx, width, bits, {"maj": expr}, [list(bits)])
+    indices = input_indices(ctx, bits)
+    threshold = (width + 1) // 2
+    (rows,) = symmetric_rows(width, [[j >= threshold for j in range(width + 1)]])
+    return MajoritySpec(ctx, width, bits, {"maj": rows_anf(ctx, indices, rows)}, [list(bits)])
 
 
 def majority_sop(spec: MajoritySpec) -> Dict[str, Sop]:

@@ -8,9 +8,12 @@
   compression per column) followed by a single ripple adder.
 
 The flat Reed-Muller form of a three-operand adder grows very quickly with
-the width (the paper's own caveat about Reed-Muller blow-up); the Table 1
-harness therefore runs this row at a reduced default width while keeping the
-architecture comparison intact.
+the width (the paper's own caveat about Reed-Muller blow-up): 19.6M
+monomials at the paper's width 12.  The carry-save construction builds and
+decomposes it in seconds, but structuring that decomposition does not
+finish (Shannon expansion of blocks over more than 60 variables, already
+at width 11), so the Table 1 harness runs this row at a reduced width
+while keeping the architecture comparison intact.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ from typing import Dict, List
 
 from ..anf.context import Context
 from ..anf.expression import Anf
-from ..anf.word import Word
+from ..anf.word import Word, carry_save_reduce
 from ..circuit import gates
 from ..circuit.netlist import Netlist
+from .closed_form import input_indices
 
 
 @dataclass
@@ -39,18 +43,25 @@ class ThreeInputAdderSpec:
 def three_input_adder_spec(width: int = 8, ctx: Context | None = None,
                            prefix_a: str = "a", prefix_b: str = "b",
                            prefix_c: str = "c") -> ThreeInputAdderSpec:
-    """Canonical specification of ``A + B + C`` for three ``width``-bit operands."""
+    """Canonical specification of ``A + B + C`` for three ``width``-bit operands.
+
+    Built carry-save first: one full adder per column reduces the operands
+    to a sum word and a carry word of three-variable bits, and one ripple
+    addition of those two follows, so every product in it has a small
+    operand.
+    """
     if width < 1:
         raise ValueError("three-input adder needs at least one bit")
     ctx = ctx or Context()
     a = Word.inputs(ctx, prefix_a, width)
     b = Word.inputs(ctx, prefix_b, width)
     c = Word.inputs(ctx, prefix_c, width)
-    total = a.add(b).add(c)
-    outputs = total.as_outputs("s")
     a_bits = [f"{prefix_a}{i}" for i in range(width)]
     b_bits = [f"{prefix_b}{i}" for i in range(width)]
     c_bits = [f"{prefix_c}{i}" for i in range(width)]
+    input_indices(ctx, a_bits + b_bits + c_bits)
+    sums, carries = carry_save_reduce(ctx, [a, b, c])
+    outputs = sums.add(carries).as_outputs("s")
     return ThreeInputAdderSpec(
         ctx, width, a_bits + b_bits + c_bits, outputs, [a_bits, b_bits, c_bits]
     )

@@ -625,8 +625,10 @@ class DecompositionCache:
     # The content-addressed records above are the source of truth; the index
     # is a shortcut that lets orchestrator workers skip rebuilding and
     # re-hashing a specification they have produced before.  It trusts spec
-    # builders to be deterministic — delete the cache directory (or disable
-    # the index) after changing a builder's semantics.
+    # builders to be deterministic and to keep their semantics: the
+    # closed-form builders are pinned to their ring-emulating oracles
+    # (tests/test_spec_builders.py), and a builder whose spec changes
+    # needs the cache directory deleted (or the index disabled).
     # ------------------------------------------------------------------
     def _index_path(self, job_key: str) -> Path:
         return self.root / "index" / f"{job_key}.key"

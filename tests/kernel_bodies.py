@@ -6,8 +6,9 @@ otherwise.  Pointing it at ``None`` forces the numpy bodies; pointing it at
 ``cnative._C`` forces the C bodies, which only exist where the extension is
 built.  No environment variable is involved.
 
-The ``unpacked`` mode makes :meth:`TermMatrix.from_terms` decline every
-set, so no expression built inside it packs and every kernel takes the
+The ``unpacked`` mode makes :meth:`TermMatrix.from_terms` and
+:meth:`TermMatrix.from_sorted` decline every set, so no expression built
+inside it packs (closed-form specs included) and every kernel takes the
 per-term loop production keeps for terms wider than 64 bits.
 """
 
@@ -42,12 +43,14 @@ def kernel_body(c: bool):
 @contextmanager
 def unpacked():
     """Run the block with no term set packing."""
-    saved = TermMatrix.__dict__["from_terms"]
-    TermMatrix.from_terms = classmethod(lambda cls, terms: None)
+    saved = {name: TermMatrix.__dict__[name] for name in ("from_terms", "from_sorted")}
+    for name in saved:
+        setattr(TermMatrix, name, classmethod(lambda cls, rows: None))
     try:
         yield
     finally:
-        TermMatrix.from_terms = saved
+        for name, constructor in saved.items():
+            setattr(TermMatrix, name, constructor)
 
 
 @contextmanager
