@@ -50,11 +50,10 @@ from repro.benchcircuits import (  # noqa: E402
     majority_spec,
     three_input_adder_spec,
 )
-from repro.core.structure import decomposition_to_netlist  # noqa: E402
 from repro.engine import BatchJob, BatchOrchestrator  # noqa: E402
 from repro.engine.profiling import collecting_pass_timings, rounded  # noqa: E402
 from repro.eval.flows import run_progressive_flow  # noqa: E402
-from repro.synth import default_library, synthesize_netlist  # noqa: E402
+from repro.synth import default_library  # noqa: E402
 
 SCHEMA = "repro-bench-v1"
 
@@ -156,7 +155,9 @@ def bench_orchestrated(
 
     Per-circuit ``seconds`` is the worker-side engine time (near zero on a
     warm cache); synthesis runs in the parent so area/delay stay in the
-    record.  Orchestrated timings are NOT comparable to the sequential
+    record, structured and mapped by the sequential mode's own flow
+    (:func:`run_progressive_flow` on the finished decomposition).
+    Orchestrated timings are NOT comparable to the sequential
     baselines — use this mode for result validation and cached sweeps, and
     the default sequential mode for performance tracking.
     """
@@ -169,20 +170,15 @@ def bench_orchestrated(
     for name in selected:
         outcome = batch_results[name]
         decomposition = outcome.decomposition
-        # Match run_progressive_flow's structuring objective so the recorded
-        # area/delay agree with the sequential mode on identical decompositions.
-        netlist = decomposition_to_netlist(
-            decomposition, library=library, objective="balanced"
-        )
-        synthesis = synthesize_netlist(netlist, library)
+        flow = run_progressive_flow({}, library=library, decomposition=decomposition)
         entry: Dict[str, object] = {
             "width": widths[name],
             "seconds": round(outcome.seconds, 4),
             "cache_hit": outcome.cache_hit,
         }
         entry.update(_decomposition_metrics(decomposition))
-        entry["area"] = round(synthesis.area, 1)
-        entry["delay"] = round(synthesis.delay, 3)
+        entry["area"] = round(flow.area, 1)
+        entry["delay"] = round(flow.delay, 3)
         results[name] = entry
     return results
 

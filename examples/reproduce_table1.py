@@ -8,8 +8,9 @@ Run with::
     python examples/reproduce_table1.py --batch --cache .pd-cache
                                                           # ... and cached on disk
 
-``--batch`` routes the Progressive Decomposition runs through the engine's
-batch orchestrator (one worker process per row); with ``--cache DIR`` both
+The Progressive Decomposition runs always go through the engine's batch
+orchestrator: in-process by default, and with ``--batch`` in worker
+processes (one per row, up to one per CPU); with ``--cache DIR`` both
 the decomposition results *and* the per-variant synthesis metrics persist
 (the latter under ``DIR/synth``), so re-running the table skips the engine
 and the synthesiser entirely.  The measured numbers (and the paper's
@@ -18,7 +19,7 @@ reference values) are also recorded in EXPERIMENTS.md.
 
 import argparse
 
-from repro.eval import build_table1, build_table1_batch, format_table1
+from repro.eval import build_table1, format_table1
 
 
 def main(argv=None) -> None:
@@ -26,19 +27,17 @@ def main(argv=None) -> None:
     parser.add_argument("--quick", action="store_true",
                         help="reduced widths (< 1 minute)")
     parser.add_argument("--batch", action="store_true",
-                        help="run the decompositions through the batch orchestrator")
+                        help="run the decompositions in worker processes")
     parser.add_argument("--cache", metavar="DIR", default=None,
                         help="on-disk decomposition cache directory (implies --batch)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes (implies --batch; default: one per row)")
     args = parser.parse_args(argv)
 
-    if args.batch or args.cache is not None or args.jobs is not None:
-        rows = build_table1_batch(
-            quick=args.quick, cache_dir=args.cache, processes=args.jobs
-        )
-    else:
-        rows = build_table1(quick=args.quick)
+    batch = args.batch or args.cache is not None or args.jobs is not None
+    rows = build_table1(
+        quick=args.quick, cache_dir=args.cache, processes=args.jobs if batch else 1
+    )
     print(format_table1(rows))
     print("qualitative shape checks:")
     for row in rows:

@@ -20,7 +20,6 @@ from .builders import (
     implies,
     majority,
     mux,
-    not_,
     or_all,
     parity,
     threshold,
@@ -66,7 +65,6 @@ __all__ = [
     "kernel_for_support",
     "majority",
     "mux",
-    "not_",
     "or_all",
     "parity",
     "parse",

@@ -55,11 +55,6 @@ def or_all(exprs: Sequence[Anf], ctx: Context | None = None) -> Anf:
     return anf_or(exprs, ctx)
 
 
-def not_(expr: Anf) -> Anf:
-    """Complement."""
-    return ~expr
-
-
 def implies(a: Anf, b: Anf) -> Anf:
     """Logical implication ``a -> b``."""
     return ~a | b

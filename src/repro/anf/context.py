@@ -9,7 +9,7 @@ instead of a silent bug.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 class ContextError(ValueError):
@@ -72,21 +72,6 @@ class Context:
         names = [f"{prefix}{i}" for i in range(start, start + width)]
         self.add_vars(names)
         return names
-
-    def fresh_name(self, prefix: str) -> str:
-        """Return an undeclared name of the form ``prefix``, ``prefix_1``, ..."""
-        if prefix not in self._name_to_index:
-            return prefix
-        suffix = 1
-        while f"{prefix}_{suffix}" in self._name_to_index:
-            suffix += 1
-        return f"{prefix}_{suffix}"
-
-    def fresh_var(self, prefix: str) -> str:
-        """Declare and return a new variable with an unused name."""
-        name = self.fresh_name(prefix)
-        self.add_var(name)
-        return name
 
     # ------------------------------------------------------------------
     # Lookup
@@ -158,8 +143,3 @@ class Context:
         if len(self._names) > 8:
             preview += ", ..."
         return f"Context({len(self._names)} vars: {preview})"
-
-
-def ordered_support_names(ctx: Context, mask: int) -> Sequence[str]:
-    """Names of the variables in ``mask`` ordered by declaration index."""
-    return ctx.names_of(mask)

@@ -641,10 +641,6 @@ class Anf:
         }
         return buckets, Anf._raw(ctx, frozenset(rest_rows))
 
-    def restricted_to(self, mask: int) -> bool:
-        """True when every monomial only uses variables inside ``mask``."""
-        return self.support_mask & ~mask == 0
-
     # ------------------------------------------------------------------
     # Rendering
     # ------------------------------------------------------------------

@@ -149,10 +149,6 @@ class Word:
             result = result & ~(self.bit(i) ^ other.bit(i))
         return result
 
-    def greater_equal(self, other: "Word") -> Anf:
-        """Unsigned ``self >= other``."""
-        return ~self.less_than(other)
-
     def select(self, condition: Anf, other: "Word") -> "Word":
         """Word-wise multiplexer: ``self`` when ``condition`` else ``other``."""
         self._ctx.require_same(other.ctx)

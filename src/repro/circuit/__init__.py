@@ -12,7 +12,7 @@ from .equivalence import (
 )
 from .gates import GateError
 from .netlist import Gate, Netlist
-from .stats import StructureStats, compare_structures, structure_stats
+from .stats import StructureStats, structure_stats
 
 __all__ = [
     "EquivalenceResult",
@@ -25,7 +25,6 @@ __all__ = [
     "check_netlist_against_anf",
     "check_netlist_anf_exact",
     "check_netlists_equivalent",
-    "compare_structures",
     "gates",
     "netlist_to_anf",
     "sop_to_netlist",

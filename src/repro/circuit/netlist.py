@@ -103,10 +103,6 @@ class Netlist:
     def num_gates(self) -> int:
         return len(self._gates)
 
-    def driver_of(self, net: str) -> Gate | None:
-        """The gate driving ``net`` (``None`` for primary inputs)."""
-        return self._driver.get(net)
-
     def is_input(self, net: str) -> bool:
         return net in self._input_set
 

@@ -81,11 +81,3 @@ def structure_stats(netlist: Netlist) -> StructureStats:
         max_output_cone_inputs=max_cone,
         op_histogram=netlist.op_histogram(),
     )
-
-
-def compare_structures(flat: Netlist, structured: Netlist) -> Dict[str, Dict[str, object]]:
-    """Side-by-side structural comparison of two implementations."""
-    return {
-        flat.name: structure_stats(flat).as_dict(),
-        structured.name: structure_stats(structured).as_dict(),
-    }

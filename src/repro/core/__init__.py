@@ -19,13 +19,12 @@ from .nullspace import (
     NullSpaceTable,
     ideal_contains,
     ideal_product_generator,
-    ideal_union_generator,
     split_over_ideals,
 )
 from .optimize import improve_basis_by_size_reduction, minimize_basis_by_linear_dependence
 from .pairs import Pair, PairList, initial_pairs, merge_equal_parts, merge_with_nullspaces
 from .rewrite import extract_tag_component, rewrite_identities, rewrite_outputs
-from .structure import HierarchyStats, block_table, decomposition_to_netlist, hierarchy_stats
+from .structure import HierarchyStats, decomposition_to_netlist, hierarchy_stats
 from .verify import (
     VerificationError,
     check_rewrite_invariant,
@@ -55,7 +54,6 @@ __all__ = [
     "NullSpaceTable",
     "Pair",
     "PairList",
-    "block_table",
     "combine_with_tags",
     "decomposition_to_netlist",
     "extract_basis",
@@ -66,7 +64,6 @@ __all__ = [
     "hierarchy_stats",
     "ideal_contains",
     "ideal_product_generator",
-    "ideal_union_generator",
     "improve_basis_by_size_reduction",
     "initial_pairs",
     "merge_equal_parts",

@@ -44,9 +44,6 @@ class BasisExtraction:
         """The candidate basis: the first element of every pair."""
         return self.pair_list.firsts()
 
-    def basis_literal_count(self) -> int:
-        return sum(expr.literal_count for expr in self.basis)
-
 
 def tag_name_for(port: str) -> str:
     """The tag variable name used for an output port."""

@@ -20,7 +20,7 @@ iterations), never the full null-space.  This mirrors the paper's
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable
 
 from ..anf.bitset import kernel_for_support
 from ..anf.context import Context
@@ -50,14 +50,6 @@ def ideal_contains(generator: Anf, element: Anf) -> bool:
         if kernel is not None:
             return kernel.divides(generator, element)
     return (element & generator) == element
-
-
-def ideal_union_generator(generators: Iterable[Anf], ctx: Context) -> Anf:
-    """Generator of the ideal generated by all the given ideals (their OR)."""
-    result = Anf.zero(ctx)
-    for generator in generators:
-        result = result | generator
-    return result
 
 
 def ideal_product_generator(left: Anf, right: Anf) -> Anf:
@@ -171,9 +163,3 @@ class NullSpaceTable:
             result = result | self.generator_for_variable(name)
         self._monomial_cache[mask] = result
         return result
-
-    def known_variables(self) -> list[str]:
-        return sorted(self._generators)
-
-    def as_mapping(self) -> Mapping[str, Anf]:
-        return dict(self._generators)

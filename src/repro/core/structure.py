@@ -10,7 +10,7 @@ Decomposition" rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from ..anf.expression import Anf
 from ..circuit.netlist import Netlist
@@ -90,20 +90,3 @@ def hierarchy_stats(decomposition: Decomposition) -> HierarchyStats:
         total_block_literals=sum(literals),
         blocks_per_level=per_level,
     )
-
-
-def block_table(decomposition: Decomposition) -> List[Dict[str, object]]:
-    """A tabular view of every block (name, level, group, definition, size)."""
-    rows = []
-    for block in decomposition.blocks:
-        rows.append(
-            {
-                "name": block.name,
-                "level": block.level,
-                "group": ", ".join(block.group),
-                "support": ", ".join(block.support),
-                "literals": block.definition.literal_count,
-                "definition": block.definition.to_str(),
-            }
-        )
-    return rows

@@ -14,7 +14,6 @@ and the pipeline configuration.
 from .batch import (
     BatchJob,
     BatchOrchestrator,
-    BatchResult,
     JobOutcome,
     decompose_cached,
     job_fingerprint,
@@ -59,7 +58,6 @@ __all__ = [
     "BasisExtractionPass",
     "BatchJob",
     "BatchOrchestrator",
-    "BatchResult",
     "CacheTelemetry",
     "DecompositionCache",
     "EngineState",

@@ -1,21 +1,23 @@
 """Batch orchestrator: run many specifications through pipelines concurrently.
 
-The evaluation harness, the benchmark sweeps and the online scanner all face
-the same workload shape — dozens of independent ``(specification, pipeline
+The evaluation harness and the benchmark sweeps both face the same
+workload shape — dozens of independent ``(specification, pipeline
 config)`` decomposition jobs — so this module gives them one engine-level
 front door:
 
-* :func:`decompose_cached` — decompose one spec, consulting an optional
-  on-disk :class:`~repro.engine.cache.DecompositionCache` first;
+* :func:`decompose_cached` — the one cached decompose step: content key,
+  then load from an optional on-disk
+  :class:`~repro.engine.cache.DecompositionCache`, or decompose and store;
 * :func:`run_job` / :func:`job_fingerprint` — the job API surface: one
-  builder-described job run end to end through both cache layers, returning
-  a structured :class:`JobOutcome`.  This is the worker body shared by the
-  orchestrator below and the HTTP front-end (``repro.service``);
+  builder-described job run end to end through the job index and
+  :func:`decompose_cached`, returning a structured :class:`JobOutcome`.
+  This is the worker body shared by the orchestrator below and the HTTP
+  front-end (``repro.service``);
 * :class:`BatchOrchestrator` — fan a list of :class:`BatchJob` out over a
   ``multiprocessing`` pool, with every worker sharing the same cache
   directory (writes are atomic, no locking needed);
-* :func:`map_parallel` — a generic fan-out helper for non-decomposition work
-  (used by the online scanner's width sweeps);
+* :func:`map_parallel` — the fan-out under the orchestrator: a fork pool,
+  or an in-process loop for one worker;
 * :func:`mark_pool_worker` / :func:`pool_context` — the worker-pool
   plumbing shared with the HTTP front-end's worker pool.
 
@@ -24,11 +26,11 @@ runs serially in one process.
 
 Jobs carry a *spec builder* (an importable callable plus arguments) rather
 than built expressions: ``Anf``/``Context`` objects are cheap to rebuild and
-expensive to ship between processes.  Results cross back as the cache's
-record dicts (a packed term set pickles as one raw ``uint64`` buffer) and
-are rebuilt into full :class:`Decomposition` objects in the parent, so a
-batch result is indistinguishable from an in-process run (modulo context
-identity).
+expensive to ship between processes.  Outcomes cross back with their
+decomposition as the cache's record dict (a packed term set pickles as one
+raw ``uint64`` buffer), rebuilt into a full :class:`Decomposition` in the
+parent, so a batch result is indistinguishable from an in-process run
+(modulo context identity).
 """
 
 from __future__ import annotations
@@ -61,35 +63,7 @@ from .pipeline import Pipeline
 
 
 # ----------------------------------------------------------------------
-# Single-spec entry point (also the per-worker core)
-# ----------------------------------------------------------------------
-def decompose_cached(
-    outputs: Mapping[str, Anf],
-    options: DecompositionOptions | None = None,
-    input_words: Sequence[Sequence[str]] | None = None,
-    cache: DecompositionCache | None = None,
-    pipeline: Pipeline | None = None,
-) -> Tuple[Decomposition, bool]:
-    """Decompose ``outputs``; returns ``(decomposition, cache_hit)``.
-
-    With a ``cache``, the canonical spec digest plus the pipeline's config
-    key is looked up first and the result is persisted after a miss.
-    """
-    pipeline = pipeline or Pipeline.from_options(options)
-    if cache is None:
-        return pipeline.run(outputs, input_words=input_words, options=options), False
-    digest = canonical_spec_digest(outputs, input_words)
-    key = cache_key(digest, pipeline.config_key())
-    cached = cache.load(key)
-    if cached is not None:
-        return cached, True
-    decomposition = pipeline.run(outputs, input_words=input_words, options=options)
-    cache.store(key, decomposition)
-    return decomposition, False
-
-
-# ----------------------------------------------------------------------
-# Batch jobs
+# Jobs
 # ----------------------------------------------------------------------
 @dataclass
 class BatchJob:
@@ -106,16 +80,6 @@ class BatchJob:
     args: tuple = ()
     kwargs: Dict[str, object] = field(default_factory=dict)
     options: Optional[DecompositionOptions] = None
-
-
-@dataclass
-class BatchResult:
-    """One finished job: the decomposition plus orchestration metadata."""
-
-    name: str
-    decomposition: Decomposition
-    seconds: float
-    cache_hit: bool
 
 
 def _spec_parts(spec: object) -> Tuple[Mapping[str, Anf], Optional[List[List[str]]]]:
@@ -154,13 +118,18 @@ def job_fingerprint(builder: Callable, args: tuple, kwargs: Mapping[str, object]
 
 @dataclass
 class JobOutcome:
-    """The result of one decomposition job run through :func:`run_job`.
+    """The result of one decomposition job.
 
     ``decomposition`` is the result: on a miss (or with no cache) the
     object the pipeline computed, on a hit the one decoded from the cache;
     ``cache_hit`` says whether it was loaded rather than computed;
     ``content_key``/``job_key`` are the cache coordinates it was stored (or
     found) under, when a cache was in play.
+
+    In-process an outcome is handed over as it is.  Pickled across a
+    process boundary (a batch worker's result), its decomposition travels
+    as its record dict (a packed term set is one raw ``uint64`` buffer)
+    and is decoded on arrival.
     """
 
     decomposition: Decomposition
@@ -169,6 +138,45 @@ class JobOutcome:
     content_key: Optional[str] = None
     job_key: Optional[str] = None
 
+    def __reduce__(self):
+        return (_outcome_from_record, (
+            serialize_decomposition(self.decomposition), self.seconds,
+            self.cache_hit, self.content_key, self.job_key,
+        ))
+
+
+def _outcome_from_record(record: dict, *fields) -> JobOutcome:
+    return JobOutcome(deserialize_decomposition(record), *fields)
+
+
+def decompose_cached(
+    outputs: Mapping[str, Anf],
+    options: DecompositionOptions | None = None,
+    input_words: Sequence[Sequence[str]] | None = None,
+    cache: DecompositionCache | None = None,
+) -> JobOutcome:
+    """Decompose ``outputs``, or load the result by its content key.
+
+    With a ``cache``, the canonical spec digest plus the pipeline's config
+    key is looked up first (the outcome carries it as ``content_key``) and
+    the result is persisted after a miss.  Hits go through
+    :meth:`DecompositionCache.load`, so a record that parses but does not
+    decode is quarantined and recomputed.
+    """
+    start = time.perf_counter()
+    pipeline = Pipeline.from_options(options)
+    content_key = decomposition = None
+    if cache is not None:
+        digest = canonical_spec_digest(outputs, input_words)
+        content_key = cache_key(digest, pipeline.config_key())
+        decomposition = cache.load(content_key)
+    hit = decomposition is not None
+    if not hit:
+        decomposition = pipeline.run(outputs, input_words=input_words, options=options)
+        if cache is not None:
+            cache.store(content_key, decomposition)
+    return JobOutcome(decomposition, time.perf_counter() - start, hit, content_key)
+
 
 def run_job(
     builder: Callable[..., object],
@@ -176,74 +184,41 @@ def run_job(
     kwargs: Mapping[str, object] | None = None,
     options: DecompositionOptions | None = None,
     cache_dir: str | os.PathLike | None = None,
-    use_job_index: bool = True,
 ) -> JobOutcome:
     """Run one decomposition job end to end; the engine's job API surface.
 
     This is the worker body shared by the batch orchestrator and the service
     front-end: with a cache, the job index is consulted first (a hit skips
     rebuilding and re-hashing the specification entirely and decodes the
-    stored record); on an index miss the spec is built, content-keyed,
-    decomposed (or loaded), and both cache layers are updated.  Hits go
-    through :meth:`DecompositionCache.load`, so a record that parses but
-    does not decode is quarantined and recomputed.
+    stored record); on an index miss the spec is built and handed to
+    :func:`decompose_cached`, and the job index is pointed at its content
+    key.
     """
     kwargs = dict(kwargs or {})
     cache = DecompositionCache(cache_dir) if cache_dir else None
     start = time.perf_counter()
-    pipeline = Pipeline.from_options(options)
     job_key = None
-    if cache is not None and use_job_index:
-        job_key = job_fingerprint(builder, args, kwargs, pipeline.config_key())
+    if cache is not None:
+        config_key = Pipeline.from_options(options).config_key()
+        job_key = job_fingerprint(builder, args, kwargs, config_key)
         content_key = cache.load_index(job_key)
         if content_key is not None:
             decomposition = cache.load(content_key)
             if decomposition is not None:
                 return JobOutcome(decomposition, time.perf_counter() - start, True,
                                   content_key, job_key)
-    spec = builder(*args, **kwargs)
-    outputs, input_words = _spec_parts(spec)
-    if cache is None:
-        decomposition = pipeline.run(outputs, input_words=input_words, options=options)
-        return JobOutcome(decomposition, time.perf_counter() - start, False)
-    digest = canonical_spec_digest(outputs, input_words)
-    content_key = cache_key(digest, pipeline.config_key())
-    decomposition = cache.load(content_key)
-    hit = decomposition is not None
-    if decomposition is None:
-        decomposition = pipeline.run(outputs, input_words=input_words, options=options)
-        cache.store(content_key, decomposition)
-    if job_key is not None:
-        cache.store_index(job_key, content_key)
-    return JobOutcome(decomposition, time.perf_counter() - start, hit, content_key, job_key)
+    outputs, input_words = _spec_parts(builder(*args, **kwargs))
+    outcome = decompose_cached(outputs, options, input_words, cache)
+    if cache is not None:
+        cache.store_index(job_key, outcome.content_key)
+    outcome.seconds = time.perf_counter() - start
+    outcome.job_key = job_key
+    return outcome
 
 
-class _Shipped:
-    """A job's decomposition on its way back from :func:`_execute_job`.
-
-    In-process it is handed over as it is.  Pickled across a process
-    boundary it travels as its record dict (a packed term set is one raw
-    ``uint64`` buffer) and is decoded on arrival.
-    """
-
-    __slots__ = ("decomposition",)
-
-    def __init__(self, decomposition: Decomposition) -> None:
-        self.decomposition = decomposition
-
-    @classmethod
-    def _from_record(cls, record: dict) -> "_Shipped":
-        return cls(deserialize_decomposition(record))
-
-    def __reduce__(self):
-        return (_Shipped._from_record, (serialize_decomposition(self.decomposition),))
-
-
-def _execute_job(payload: tuple) -> Tuple[str, _Shipped, float, bool]:
+def _execute_job(payload: tuple) -> JobOutcome:
     """Pool-worker wrapper around :func:`run_job` (picklable payload tuple)."""
-    name, builder, args, kwargs, options, cache_dir, use_job_index = payload
-    outcome = run_job(builder, args, kwargs, options, cache_dir, use_job_index)
-    return name, _Shipped(outcome.decomposition), outcome.seconds, outcome.cache_hit
+    return run_job(*payload)
 
 
 # ----------------------------------------------------------------------
@@ -356,26 +331,22 @@ class BatchOrchestrator:
     The cache is content-addressed (canonical spec digest + pipeline config);
     on top of it a job index keyed by the builder's qualified name and
     arguments lets warm re-runs skip spec construction and hashing entirely.
-    Pass ``use_job_index=False`` to force content-only keying (e.g. while
-    iterating on a spec builder's implementation).
     """
 
     def __init__(
         self,
         cache_dir: str | os.PathLike | None = None,
         processes: Optional[int] = None,
-        use_job_index: bool = True,
     ) -> None:
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.processes = processes
-        self.use_job_index = use_job_index
         if self.cache_dir is not None:
             # Create the directory up front so concurrent workers never race
             # on mkdir, and so a bad path fails in the parent.
             DecompositionCache(self.cache_dir)
 
-    def run(self, jobs: Sequence[BatchJob]) -> Dict[str, BatchResult]:
-        """Execute every job; returns ``{job name: BatchResult}``.
+    def run(self, jobs: Sequence[BatchJob]) -> Dict[str, JobOutcome]:
+        """Execute every job; returns ``{job name: JobOutcome}``.
 
         Job names must be unique — they key the result dict.
         """
@@ -394,18 +365,10 @@ class BatchOrchestrator:
             ),
         )
         payloads = [
-            (job.name, job.builder, job.args, dict(job.kwargs), job.options,
-             self.cache_dir, self.use_job_index)
+            (job.builder, job.args, dict(job.kwargs), job.options, self.cache_dir)
             for job in (jobs[i] for i in order)
         ]
-        raw = map_parallel(_execute_job, payloads, processes=self.processes)
-        by_name: Dict[str, BatchResult] = {}
-        for name, shipped, seconds, hit in raw:
-            by_name[name] = BatchResult(
-                name=name,
-                decomposition=shipped.decomposition,
-                seconds=seconds,
-                cache_hit=hit,
-            )
+        outcomes = map_parallel(_execute_job, payloads, processes=self.processes)
+        by_name = {names[i]: outcome for i, outcome in zip(order, outcomes)}
         # Callers iterate results in submission order; undo the LPT shuffle.
         return {name: by_name[name] for name in names}

@@ -27,7 +27,10 @@ canonical spec digest, or a structural netlist) plus the synthesis
 parameters and a fingerprint of the cell library, and hold the metric
 surface of a :class:`~repro.synth.synthesize.SynthesisResult` (area, delay,
 cell and depth counts) — warm Table-1/figure re-runs skip technology mapping
-and timing entirely.
+and timing entirely.  :func:`synthesize_cached` is the one step that reads
+and writes them, and the only code that knows their fields.  Both caches
+read records through one shared store (path, fault site, quarantine,
+telemetry); each keeps only its own parse-and-screen step.
 
 Writes are atomic (tmp file + rename), so many orchestrator workers can
 share one cache directory without locking.  For *shared storage* with
@@ -58,9 +61,9 @@ import os
 import re
 import tempfile
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 import orjson
@@ -434,12 +437,6 @@ def _atomic_write_bytes(root: Path, path: Path, payload: bytes, site: str) -> No
             raise
 
 
-def _atomic_json_dump(root: Path, path: Path, data: dict) -> None:
-    """Write ``data`` as compact stdlib JSON via tmp-file + rename (crash-safe)."""
-    payload = json.dumps(data, separators=(",", ":")).encode("utf-8")
-    _atomic_write_bytes(root, path, payload, "cache.store")
-
-
 # ----------------------------------------------------------------------
 # Hit/miss telemetry
 # ----------------------------------------------------------------------
@@ -522,13 +519,19 @@ def cache_key(spec_digest: str, config_key: str) -> str:
     return hashlib.sha256(combined.encode("utf-8")).hexdigest()
 
 
-class DecompositionCache:
-    """Directory of ``<key>.json`` decomposition records.
+class _RecordStore:
+    """Directory of ``<key>.json`` records: the read, quarantine and
+    telemetry both caches share.
 
-    ``telemetry`` (optional) receives a lookup event per ``load``/``load_raw``
-    call and a store event per write — the hook the service's ``/metrics``
+    A subclass supplies :meth:`_screen`, which parses a record's bytes and
+    returns the record dict, or ``None`` for bytes that do not hold one of
+    its records.  ``telemetry`` (optional) receives a lookup event per read
+    and a store event per write — the hook the service's ``/metrics``
     endpoint and any shared-store monitoring hang off.
     """
+
+    #: Globs, besides the records, that :meth:`clear` deletes.
+    _EXTRA_FILES = ("*.corrupt",)
 
     def __init__(self, root: str | os.PathLike,
                  telemetry: CacheTelemetry | None = None) -> None:
@@ -538,6 +541,72 @@ class DecompositionCache:
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
+
+    def _screen(self, raw: bytes) -> Optional[dict]:
+        raise NotImplementedError
+
+    def _read(self, key: str) -> Optional[dict]:
+        """The screened record for ``key``, or ``None``; one lookup event.
+
+        A record that does not pass :meth:`_screen` (torn, corrupt, or a
+        foreign file at the key path) is a miss and is quarantined.  A
+        missing file or a transient I/O failure is a plain miss.
+        """
+        path = self._path(key)
+        record = None
+        try:
+            faults.hit("cache.load", tag=path.name)
+            with open(path, "rb") as handle:
+                raw = handle.read()
+        except OSError:
+            pass  # absent, or a transient failure: a miss with nothing to blame
+        else:
+            record = self._screen(raw)
+            if record is None:
+                self._quarantine(path)
+        if self.telemetry is not None:
+            self.telemetry.record_lookup(record is not None)
+        return record
+
+    def _quarantine(self, path: Path) -> None:
+        """Atomically move a damaged record aside as ``<name>.corrupt``."""
+        try:
+            os.replace(path, f"{path}.corrupt")
+        except OSError:
+            return  # a concurrent reader already moved it, or it vanished
+        if self.telemetry is not None:
+            self.telemetry.record_corrupt()
+
+    def _write(self, key: str, payload: bytes) -> None:
+        """Atomically persist a record's bytes; one store event."""
+        _atomic_write_bytes(self.root, self._path(key), payload, "cache.store")
+        if self.telemetry is not None:
+            self.telemetry.record_store()
+
+    def clear(self) -> int:
+        """Delete every record and its side files; returns how many records."""
+        removed = 0
+        for path in self.root.glob("*.json"):
+            path.unlink()
+            removed += 1
+        for pattern in self._EXTRA_FILES:
+            for path in self.root.glob(pattern):
+                path.unlink()
+        return removed
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self.root.glob("*.json"))
+
+
+#: Sections every decomposition record must carry.
+_REQUIRED_SECTIONS = ("names", "options", "primary_inputs", "original",
+                      "outputs", "blocks", "iterations")
+
+
+class DecompositionCache(_RecordStore):
+    """Directory of ``<key>.json`` decomposition records, plus the job index."""
+
+    _EXTRA_FILES = ("index/*.key", "*.corrupt", "index/*.corrupt")
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).is_file()
@@ -570,40 +639,15 @@ class DecompositionCache:
         passes this screen can still fail to decode; :meth:`load` catches
         that too.
         """
-        record = self._read_record(key)
-        if self.telemetry is not None:
-            self.telemetry.record_lookup(record is not None)
-        return record
+        return self._read(key)
 
-    def _quarantine(self, path: Path) -> None:
-        """Atomically move a damaged record aside as ``<name>.corrupt``."""
-        try:
-            os.replace(path, f"{path}.corrupt")
-        except OSError:
-            return  # a concurrent reader already moved it, or it vanished
-        if self.telemetry is not None:
-            self.telemetry.record_corrupt()
-
-    def _read_record(self, key: str) -> Optional[dict]:
-        path = self._path(key)
-        try:
-            faults.hit("cache.load", tag=path.name)
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            return None  # transient I/O failure: miss, but nothing to blame
+    def _screen(self, raw: bytes) -> Optional[dict]:
         try:
             record = decode_record(raw)
         except (ValueError, RecursionError):  # RecursionError: nested too deep
-            self._quarantine(path)
             return None
-        required = ("names", "options", "primary_inputs", "original",
-                    "outputs", "blocks", "iterations")
         if (not isinstance(record, dict) or record.get("schema") != SCHEMA
-                or any(field_name not in record for field_name in required)):
-            self._quarantine(path)
+                or any(section not in record for section in _REQUIRED_SECTIONS)):
             return None
         return record
 
@@ -615,9 +659,7 @@ class DecompositionCache:
 
     def store_raw(self, key: str, data: dict) -> None:
         """Atomically persist an already-serialised record."""
-        _atomic_write_bytes(self.root, self._path(key), encode_record(data), "cache.store")
-        if self.telemetry is not None:
-            self.telemetry.record_store()
+        self._write(key, encode_record(data))
 
     # ------------------------------------------------------------------
     # Job index: fingerprint of (builder, args, config) -> content key.
@@ -649,20 +691,6 @@ class DecompositionCache:
             self.root, self._index_path(job_key),
             content_key.encode("utf-8"), site="cache.index",
         )
-
-    def clear(self) -> int:
-        """Delete every record (and the job index); returns how many records."""
-        removed = 0
-        for path in self.root.glob("*.json"):
-            path.unlink()
-            removed += 1
-        for pattern in ("index/*.key", "*.corrupt", "index/*.corrupt"):
-            for path in self.root.glob(pattern):
-                path.unlink()
-        return removed
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.json"))
 
 
 # ----------------------------------------------------------------------
@@ -721,85 +749,104 @@ def synthesis_cache_key(design_digest: str, library_fp: str, params: dict) -> st
     return hashlib.sha256(combined.encode("utf-8")).hexdigest()
 
 
-class SynthesisCache:
+class SynthesisCache(_RecordStore):
     """Directory of ``<key>.json`` synthesis metric records.
 
     Records hold the metric surface of a synthesis run (``area``, ``delay``,
     ``cells``, ``depth`` plus the design name), not the mapped netlist:
     everything the evaluation tables and figures read from a
     :class:`~repro.eval.flows.FlowResult`, at a fraction of the bytes.
-    Corrupt or foreign records are treated as misses, exactly like
-    :class:`DecompositionCache`; an optional ``telemetry`` object receives
-    the same lookup/store events.
+    :func:`synthesize_cached` is the step that reads and writes them.
     """
-
-    def __init__(self, root: str | os.PathLike,
-                 telemetry: CacheTelemetry | None = None) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.telemetry = telemetry
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
 
     def load(self, key: str) -> Optional[dict]:
         """The cached metric record for ``key``, or ``None``."""
-        record = self._read_record(key)
-        if self.telemetry is not None:
-            self.telemetry.record_lookup(record is not None)
-        return record
+        return self._read(key)
 
-    def _quarantine(self, path: Path) -> None:
-        try:
-            os.replace(path, f"{path}.corrupt")
-        except OSError:
-            return
-        if self.telemetry is not None:
-            self.telemetry.record_corrupt()
-
-    def _read_record(self, key: str) -> Optional[dict]:
-        path = self._path(key)
-        try:
-            faults.hit("cache.load", tag=path.name)
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            return None
+    def _screen(self, raw: bytes) -> Optional[dict]:
         try:
             record = json.loads(raw)
         except (ValueError, RecursionError):  # RecursionError: nested too deep
-            self._quarantine(path)
             return None
         if not isinstance(record, dict) or record.get("schema") != SYNTH_SCHEMA:
-            self._quarantine(path)
             return None
         for field_name in SYNTH_METRIC_FIELDS:
             value = record.get(field_name)
             # bool is an int subclass; a true/false metric is still corrupt.
             if not isinstance(value, (int, float)) or isinstance(value, bool):
-                self._quarantine(path)
                 return None
         return record
 
     def store(self, key: str, metrics: dict) -> dict:
         """Atomically persist a metric record; returns the stored record."""
         record = {"schema": SYNTH_SCHEMA, **metrics}
-        _atomic_json_dump(self.root, self._path(key), record)
-        if self.telemetry is not None:
-            self.telemetry.record_store()
+        self._write(key, json.dumps(record, separators=(",", ":")).encode("utf-8"))
         return record
 
-    def clear(self) -> int:
-        """Delete every record; returns how many were removed."""
-        removed = 0
-        for path in self.root.glob("*.json"):
-            path.unlink()
-            removed += 1
-        for path in self.root.glob("*.corrupt"):
-            path.unlink()
-        return removed
 
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.json"))
+@dataclass
+class CachedSynthesis:
+    """A synthesis result rebuilt from a :class:`SynthesisCache` record.
+
+    Carries the metric surface of a
+    :class:`~repro.synth.synthesize.SynthesisResult` — everything the
+    tables and figures read — without the mapped netlist (which is what the
+    cache deliberately does not store).  Consumers needing the netlist
+    itself should run without a synthesis cache.
+    """
+
+    name: str
+    area: float
+    delay: float
+    num_cells: int
+    depth: int
+
+    def summary(self) -> Dict[str, object]:
+        return {
+            "name": self.name,
+            "area_um2": round(self.area, 1),
+            "delay_ns": round(self.delay, 3),
+            "cells": self.num_cells,
+            "depth": self.depth,
+        }
+
+
+def synthesize_cached(
+    cache: SynthesisCache | None,
+    design_digest: Callable[[], str],
+    library,
+    params: Mapping[str, object],
+    synthesize: Callable[[], Any],
+) -> Tuple[Any, bool]:
+    """The one cached synthesis step: load a metric record, or synthesise
+    and store one.
+
+    The key is :func:`synthesis_cache_key` over ``design_digest()``, the
+    library's fingerprint and ``params``.  Returns ``(synthesis,
+    cache_hit)``: on a hit a :class:`CachedSynthesis` rebuilt from the
+    record, else what ``synthesize()`` returned (a
+    :class:`~repro.synth.synthesize.SynthesisResult`), whose metrics are
+    then stored under the key.  Without a cache nothing is digested or
+    read.
+    """
+    if cache is None:
+        return synthesize(), False
+    key = synthesis_cache_key(design_digest(), library_fingerprint(library), dict(params))
+    record = cache.load(key)
+    if record is not None:
+        return CachedSynthesis(
+            name=str(record.get("name", "")),
+            area=float(record["area"]),
+            delay=float(record["delay"]),
+            num_cells=int(record["cells"]),
+            depth=int(record["depth"]),
+        ), True
+    result = synthesize()
+    cache.store(key, {
+        "name": result.name,
+        "area": result.area,
+        "delay": result.delay,
+        "cells": result.num_cells,
+        "depth": result.depth,
+    })
+    return result, False

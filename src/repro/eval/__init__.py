@@ -14,7 +14,6 @@ from .table1 import (
     PaperNumbers,
     Table1Row,
     build_table1,
-    build_table1_batch,
     format_table1,
     pd_width_for_row,
     row_adder,
@@ -35,7 +34,6 @@ __all__ = [
     "FlowResult",
     "Table1Row",
     "build_table1",
-    "build_table1_batch",
     "figure1_vs_figure2",
     "figure4_online_hierarchy",
     "figure6_majority7_trace",

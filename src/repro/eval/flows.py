@@ -28,71 +28,18 @@ from ..core.decompose import Decomposition, DecompositionOptions
 from ..core.structure import decomposition_to_netlist
 from ..engine.batch import decompose_cached
 from ..engine.cache import (
+    CachedSynthesis,
     DecompositionCache,
     SynthesisCache,
     decomposition_digest,
-    library_fingerprint,
     netlist_digest,
-    synthesis_cache_key,
+    synthesize_cached,
 )
 from ..synth.library import Library, default_library
 from ..synth.synthesize import SynthesisResult, synthesize_expressions, synthesize_netlist
 
 
-@dataclass
-class CachedSynthesis:
-    """A warm :class:`~repro.engine.cache.SynthesisCache` hit.
-
-    Carries the metric surface of a :class:`SynthesisResult` — everything
-    the tables and figures read — without the mapped netlist (which is what
-    the cache deliberately does not store).  Consumers needing the netlist
-    itself should run without a synthesis cache.
-    """
-
-    name: str
-    area: float
-    delay: float
-    num_cells: int
-    depth: int
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "area_um2": round(self.area, 1),
-            "delay_ns": round(self.delay, 3),
-            "cells": self.num_cells,
-            "depth": self.depth,
-        }
-
-
 AnySynthesis = Union[SynthesisResult, CachedSynthesis]
-
-
-def _synthesis_metrics(result: SynthesisResult) -> Dict[str, object]:
-    return {
-        "name": result.name,
-        "area": result.area,
-        "delay": result.delay,
-        "cells": result.num_cells,
-        "depth": result.depth,
-    }
-
-
-def _load_cached_synthesis(
-    cache: Optional[SynthesisCache], key: Optional[str]
-) -> Optional[CachedSynthesis]:
-    if cache is None or key is None:
-        return None
-    record = cache.load(key)
-    if record is None:
-        return None
-    return CachedSynthesis(
-        name=str(record.get("name", "")),
-        area=float(record["area"]),
-        delay=float(record["delay"]),
-        num_cells=int(record["cells"]),
-        depth=int(record["depth"]),
-    )
 
 
 @dataclass
@@ -150,35 +97,29 @@ def run_baseline_flow(
     """
     library = library or default_library()
     start = time.perf_counter()
-    key = None
-    if synthesis_cache is not None:
-        key = synthesis_cache_key(
-            canonical_spec_digest(outputs, None),
-            library_fingerprint(library),
-            {
-                "flow": "baseline",
-                "strategy": strategy,
-                "shannon_order": tuple(shannon_order) if shannon_order else None,
-                "objective": objective,
-            },
-        )
-    cached = _load_cached_synthesis(synthesis_cache, key)
-    if cached is not None:
-        flow = FlowResult(label, "unoptimised", cached, time.perf_counter() - start)
-        flow.notes["synthesis_cached"] = True
-        return flow
-    result = synthesize_expressions(
-        outputs,
-        strategy=strategy,
-        library=library,
-        name=label,
-        shannon_order=shannon_order,
-        objective=objective,
+    synthesis, hit = synthesize_cached(
+        synthesis_cache,
+        lambda: canonical_spec_digest(outputs, None),
+        library,
+        {
+            "flow": "baseline",
+            "strategy": strategy,
+            "shannon_order": tuple(shannon_order) if shannon_order else None,
+            "objective": objective,
+        },
+        lambda: synthesize_expressions(
+            outputs,
+            strategy=strategy,
+            library=library,
+            name=label,
+            shannon_order=shannon_order,
+            objective=objective,
+        ),
     )
-    if synthesis_cache is not None:
-        synthesis_cache.store(key, _synthesis_metrics(result))
-    elapsed = time.perf_counter() - start
-    return FlowResult(label, "unoptimised", result, elapsed)
+    flow = FlowResult(label, "unoptimised", synthesis, time.perf_counter() - start)
+    if hit:
+        flow.notes["synthesis_cached"] = True
+    return flow
 
 
 def run_structural_flow(
@@ -191,23 +132,17 @@ def run_structural_flow(
     """Synthesise a structural description (manual reference or naive structure)."""
     library = library or default_library()
     start = time.perf_counter()
-    key = None
-    if synthesis_cache is not None:
-        key = synthesis_cache_key(
-            netlist_digest(netlist),
-            library_fingerprint(library),
-            {"flow": "structural"},
-        )
-    cached = _load_cached_synthesis(synthesis_cache, key)
-    if cached is not None:
-        flow = FlowResult(label, kind, cached, time.perf_counter() - start)
+    synthesis, hit = synthesize_cached(
+        synthesis_cache,
+        lambda: netlist_digest(netlist),
+        library,
+        {"flow": "structural"},
+        lambda: synthesize_netlist(netlist, library, name=label),
+    )
+    flow = FlowResult(label, kind, synthesis, time.perf_counter() - start)
+    if hit:
         flow.notes["synthesis_cached"] = True
-        return flow
-    result = synthesize_netlist(netlist, library, name=label)
-    if synthesis_cache is not None:
-        synthesis_cache.store(key, _synthesis_metrics(result))
-    elapsed = time.perf_counter() - start
-    return FlowResult(label, kind, result, elapsed)
+    return flow
 
 
 def run_progressive_flow(
@@ -235,38 +170,35 @@ def run_progressive_flow(
     start = time.perf_counter()
     cache_hit = False
     if decomposition is None:
-        decomposition, cache_hit = decompose_cached(
-            outputs, options, input_words=input_words, cache=cache
-        )
+        outcome = decompose_cached(outputs, options, input_words, cache)
+        decomposition, cache_hit = outcome.decomposition, outcome.cache_hit
     notes: Dict[str, object] = {
         "blocks": len(decomposition.blocks),
         "levels": decomposition.num_levels,
     }
     if cache_hit:
         notes["decomposition_cached"] = True
-    key = None
-    if synthesis_cache is not None:
-        key = synthesis_cache_key(
-            decomposition_digest(decomposition),
-            library_fingerprint(library),
-            {
-                "flow": "progressive",
-                "block_strategy": block_strategy,
-                "objective": objective,
-            },
-        )
-    cached = _load_cached_synthesis(synthesis_cache, key)
-    if cached is not None:
-        notes["synthesis_cached"] = True
-        return FlowResult(
-            label, "progressive", cached, time.perf_counter() - start,
-            decomposition, notes,
-        )
-    netlist = decomposition_to_netlist(
-        decomposition, strategy=block_strategy, library=library, objective=objective
+    synthesis, hit = synthesize_cached(
+        synthesis_cache,
+        lambda: decomposition_digest(decomposition),
+        library,
+        {
+            "flow": "progressive",
+            "block_strategy": block_strategy,
+            "objective": objective,
+        },
+        lambda: synthesize_netlist(
+            decomposition_to_netlist(
+                decomposition, strategy=block_strategy, library=library,
+                objective=objective,
+            ),
+            library,
+            name=label,
+        ),
     )
-    result = synthesize_netlist(netlist, library, name=label)
-    if synthesis_cache is not None:
-        synthesis_cache.store(key, _synthesis_metrics(result))
-    elapsed = time.perf_counter() - start
-    return FlowResult(label, "progressive", result, elapsed, decomposition, notes)
+    if hit:
+        notes["synthesis_cached"] = True
+    return FlowResult(
+        label, "progressive", synthesis, time.perf_counter() - start,
+        decomposition, notes,
+    )

@@ -77,11 +77,6 @@ class Table1Row:
         improved = self.progressive().delay
         return baseline / improved if improved else float("inf")
 
-    def area_ratio(self) -> float:
-        """PD area relative to the unoptimised description (< 1 means smaller)."""
-        baseline = self.unoptimised().area
-        return self.progressive().area / baseline if baseline else float("inf")
-
 
 # Reference values transcribed from Table 1 of the paper.
 PAPER_TABLE1: Dict[str, Dict[str, PaperNumbers]] = {
@@ -130,9 +125,9 @@ def _progressive_variant(
 ) -> FlowResult:
     """The Progressive Decomposition variant of a row whose spec feeds nothing else.
 
-    With a precomputed decomposition (batch/orchestrated builds) the flat
-    Reed-Muller specification is never needed, so it is not built — at full
-    widths that construction is the expensive part of several rows.
+    With a precomputed decomposition (as :func:`build_table1` passes) the
+    flat Reed-Muller specification is never needed, so it is not built — at
+    full widths that construction is the expensive part of several rows.
     """
     if pd_decomposition is not None:
         return run_progressive_flow(
@@ -365,52 +360,36 @@ def build_table1(
     quick: bool = False,
     rows: Sequence[str] | None = None,
     synthesis_cache: SynthesisCache | None = None,
+    cache_dir: str | None = None,
+    processes: int | None = 1,
 ) -> List[Table1Row]:
-    """Build every requested row of Table 1 sequentially.
+    """Build every requested row of Table 1.
 
     ``quick`` selects reduced widths so the whole table regenerates in a few
     minutes of pure-Python runtime; the full widths follow the paper except
-    where DESIGN.md documents a substitution.  A ``synthesis_cache`` lets
-    warm re-runs skip the technology-mapping/timing stage of every variant.
+    where DESIGN.md documents a substitution.
+
+    The Progressive Decomposition variants — the expensive part of every
+    row — run through the :class:`~repro.engine.batch.BatchOrchestrator`:
+    with ``processes=1`` (the default) in-process, one after another, and
+    with more (or ``None``, one per CPU) in forked workers.  With a
+    ``cache_dir`` their results persist on disk, so repeated table builds
+    skip the engine entirely.  The rows themselves (structural variants,
+    synthesis) are then assembled in-process.  A ``synthesis_cache`` lets
+    warm re-runs skip the technology-mapping/timing stage of every variant;
+    with a ``cache_dir`` and none given, one lives under
+    ``<cache_dir>/synth``, so a fully warm table build skips both the
+    engine and the synthesiser.
     """
     library = library or default_library()
     selected = list(rows) if rows is not None else list(ROW_BUILDERS)
-    return [
-        _build_row(name, library, quick, synthesis_cache=synthesis_cache)
-        for name in selected
-    ]
-
-
-def build_table1_batch(
-    library: Library | None = None,
-    quick: bool = False,
-    rows: Sequence[str] | None = None,
-    cache_dir: str | None = None,
-    processes: int | None = None,
-    orchestrator: BatchOrchestrator | None = None,
-    synthesis_cache: SynthesisCache | None = None,
-) -> List[Table1Row]:
-    """Build Table 1 with the decompositions run by the batch orchestrator.
-
-    The Progressive Decomposition variants — the expensive part of every row
-    — run concurrently in worker processes, and with a ``cache_dir`` their
-    results persist on disk so repeated table builds skip the engine
-    entirely.  The rows themselves (structural variants, synthesis) are then
-    assembled in-process exactly as :func:`build_table1` does; with a
-    ``cache_dir`` the synthesis results are cached too (under
-    ``<cache_dir>/synth`` unless an explicit ``synthesis_cache`` is given),
-    so a fully warm table build skips both the engine and the synthesiser.
-    """
-    library = library or default_library()
-    selected = list(rows) if rows is not None else list(ROW_BUILDERS)
-    orchestrator = orchestrator or BatchOrchestrator(cache_dir, processes)
     if synthesis_cache is None and cache_dir is not None:
         synthesis_cache = SynthesisCache(os.path.join(cache_dir, "synth"))
     jobs = [
         BatchJob(name, PD_SPEC_BUILDERS[name], (pd_width_for_row(name, quick),))
         for name in selected
     ]
-    results = orchestrator.run(jobs)
+    results = BatchOrchestrator(cache_dir, processes).run(jobs)
     table: List[Table1Row] = []
     for name in selected:
         outcome = results[name]
@@ -419,8 +398,8 @@ def build_table1_batch(
             synthesis_cache=synthesis_cache,
         )
         # run_progressive_flow only timed netlist + synthesis (the engine ran
-        # in the orchestrator); fold the worker-side seconds back into the
-        # row so runtime_s stays comparable with sequential builds.
+        # in the orchestrator); fold the engine's seconds back into the row
+        # so runtime_s covers the whole variant.
         progressive = row.progressive()
         progressive.runtime_seconds += outcome.seconds
         progressive.notes["decomposition_s"] = round(outcome.seconds, 3)

@@ -14,8 +14,8 @@ from .division import (
     most_frequent_literal,
     weak_divide,
 )
-from .factoring import FactorNode, factor, factored_literal_count
-from .kernels import Kernel, best_kernel, iter_kernel_expressions, kernels, level0_kernels
+from .factoring import FactorNode, factor
+from .kernels import Kernel, best_kernel, kernels
 
 __all__ = [
     "FactorNode",
@@ -24,11 +24,8 @@ __all__ = [
     "common_cube",
     "divide_by_cube",
     "factor",
-    "factored_literal_count",
     "is_cube_free",
-    "iter_kernel_expressions",
     "kernels",
-    "level0_kernels",
     "literal_frequencies",
     "make_cube_free",
     "most_frequent_literal",

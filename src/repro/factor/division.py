@@ -11,8 +11,6 @@ algorithm operate on the same representation.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from ..anf.expression import Anf
 
 
@@ -127,11 +125,3 @@ def most_frequent_literal(expr: Anf) -> int | None:
             best_count = counts[index]
             best_index = index
     return best_index
-
-
-def cube_literals(mask: int) -> Iterable[int]:
-    """Variable indices present in a cube mask."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

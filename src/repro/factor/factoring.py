@@ -163,8 +163,3 @@ def factor(expr: Anf, use_kernels: bool = True, _depth: int = 0) -> FactorNode:
     remainder_node = factor(remainder, use_kernels, _depth + 1)
     product = _and([_cube_node(ctx, divisor_cube), quotient_node])
     return _xor([product, remainder_node])
-
-
-def factored_literal_count(expr: Anf, use_kernels: bool = True) -> int:
-    """Literal count of the factored form (a standard area estimate)."""
-    return factor(expr, use_kernels).literal_count

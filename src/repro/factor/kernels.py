@@ -10,7 +10,6 @@ XOR-dominated arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from ..anf.expression import Anf
 from .division import divide_by_cube, literal_frequencies, make_cube_free
@@ -63,16 +62,6 @@ def kernels(expr: Anf, max_kernels: int | None = None) -> list[Kernel]:
     return list(found.values())
 
 
-def level0_kernels(expr: Anf) -> list[Kernel]:
-    """Kernels that themselves contain no further kernels (other than trivial)."""
-    result = []
-    for kernel in kernels(expr):
-        inner = [k for k in kernels(kernel.expr) if k.expr.terms != kernel.expr.terms]
-        if not inner:
-            result.append(kernel)
-    return result
-
-
 def best_kernel(expr: Anf) -> Kernel | None:
     """Pick the kernel giving the best immediate literal saving.
 
@@ -96,9 +85,3 @@ def best_kernel(expr: Anf) -> Kernel | None:
             best_value = value
             best = kernel
     return best
-
-
-def iter_kernel_expressions(expr: Anf) -> Iterator[Anf]:
-    """The kernel expressions only (without their co-kernels)."""
-    for kernel in kernels(expr):
-        yield kernel.expr

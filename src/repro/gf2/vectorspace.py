@@ -28,11 +28,6 @@ class XorSpan:
         """Rank of the span."""
         return len(self._basis)
 
-    @property
-    def num_inserted(self) -> int:
-        """How many vectors have been offered via :meth:`add`."""
-        return self._num_inserted
-
     def _reduce(self, vector: int, combo: int) -> tuple[int, int]:
         basis = self._basis
         while vector:

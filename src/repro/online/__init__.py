@@ -1,21 +1,17 @@
 """Hierarchies from effective online algorithms (paper Theorem 1 / Fig. 4)."""
 
 from .scan import (
-    OnlineScanPoint,
     OnlineSpec,
     online_adder_spec,
     online_comparator_spec,
     online_to_hierarchy_netlist,
     online_to_serial_netlist,
-    scan_online_specs,
 )
 
 __all__ = [
-    "OnlineScanPoint",
     "OnlineSpec",
     "online_adder_spec",
     "online_comparator_spec",
     "online_to_hierarchy_netlist",
     "online_to_serial_netlist",
-    "scan_online_specs",
 ]

@@ -19,13 +19,12 @@ for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 from ..anf.context import Context
 from ..anf.expression import Anf
 from ..circuit import gates
 from ..circuit.netlist import Netlist
-from ..engine.batch import map_parallel
 from ..synth.structuring import EmitContext, emit_with_strategy
 
 
@@ -155,61 +154,3 @@ def online_to_hierarchy_netlist(spec: OnlineSpec, num_groups: int, prefix: str =
     netlist.set_output("out", out)
     return netlist
 
-
-# ----------------------------------------------------------------------
-# Orchestrated width sweeps
-# ----------------------------------------------------------------------
-@dataclass
-class OnlineScanPoint:
-    """Serial-vs-hierarchical comparison for one (spec, width) combination."""
-
-    spec_name: str
-    num_groups: int
-    serial_depth: int
-    hierarchical_depth: int
-    serial_gates: int
-    hierarchical_gates: int
-
-    @property
-    def depth_ratio(self) -> float:
-        """Serial depth over hierarchical depth (> 1 means the tree wins)."""
-        if not self.hierarchical_depth:
-            return float("inf")
-        return self.serial_depth / self.hierarchical_depth
-
-
-def _scan_point(payload: Tuple[Callable[..., OnlineSpec], tuple, int]) -> OnlineScanPoint:
-    """Worker body for one sweep point (module-level so it pickles)."""
-    builder, args, num_groups = payload
-    spec = builder(*args)
-    serial = online_to_serial_netlist(spec, num_groups)
-    hierarchical = online_to_hierarchy_netlist(spec, num_groups)
-    return OnlineScanPoint(
-        spec_name=spec.name,
-        num_groups=num_groups,
-        serial_depth=serial.depth(),
-        hierarchical_depth=hierarchical.depth(),
-        serial_gates=serial.num_gates,
-        hierarchical_gates=hierarchical.num_gates,
-    )
-
-
-def scan_online_specs(
-    spec_builders: Sequence[Callable[..., OnlineSpec] | Tuple[Callable[..., OnlineSpec], tuple]],
-    group_counts: Sequence[int],
-    processes: Optional[int] = None,
-) -> List[OnlineScanPoint]:
-    """Sweep serial-vs-hierarchical constructions across widths in parallel.
-
-    ``spec_builders`` lists online-spec builders — bare callables or
-    ``(builder, args)`` tuples — and every builder is crossed with every
-    entry of ``group_counts``.  The sweep fans out over the engine's
-    orchestrator pool (:func:`repro.engine.batch.map_parallel`); pass
-    ``processes=1`` to stay in-process.
-    """
-    payloads = []
-    for entry in spec_builders:
-        builder, args = entry if isinstance(entry, tuple) else (entry, ())
-        for num_groups in group_counts:
-            payloads.append((builder, tuple(args), num_groups))
-    return map_parallel(_scan_point, payloads, processes=processes)

@@ -12,10 +12,11 @@ owns its whole lifecycle below the HTTP layer:
   parameters), built on :func:`repro.engine.batch.job_fingerprint` so it
   agrees with the on-disk cache's job index;
 * :func:`execute_job` is the pool-worker body: it routes the spec through
-  :func:`repro.engine.batch.run_job` (both cache layers) and, for
-  ``synthesize`` jobs, on through structuring + technology mapping with a
-  :class:`~repro.engine.cache.SynthesisCache`, returning a JSON-ready
-  result summary.
+  :func:`repro.engine.batch.run_job` (job index + content-keyed records)
+  and, for ``synthesize`` jobs, on through
+  :func:`repro.engine.cache.synthesize_cached` (structuring + technology
+  mapping, or a :class:`~repro.engine.cache.SynthesisCache` hit),
+  returning a JSON-ready result summary.
 
 Everything here is stdlib + the existing engine; the HTTP server never
 imports spec builders and the workers never see a socket.
@@ -46,12 +47,7 @@ from ..benchcircuits import (
 from ..core.decompose import DecompositionOptions
 from ..core.structure import decomposition_to_netlist
 from ..engine.batch import job_fingerprint, run_job
-from ..engine.cache import (
-    SynthesisCache,
-    decomposition_digest,
-    library_fingerprint,
-    synthesis_cache_key,
-)
+from ..engine.cache import SynthesisCache, decomposition_digest, synthesize_cached
 from ..engine.pipeline import Pipeline
 from ..synth import default_library, synthesize_netlist
 
@@ -360,40 +356,23 @@ def execute_job(payload: Mapping, cache_dir: Optional[str]) -> dict:
         result["verified"] = bool(decomposition.verify())
     if spec.kind == "synthesize":
         library = default_library()
-        synthesis_cache = (
-            SynthesisCache(f"{cache_dir}/synth") if cache_dir else None
+        synthesis, hit = synthesize_cached(
+            SynthesisCache(f"{cache_dir}/synth") if cache_dir else None,
+            lambda: decomposition_digest(decomposition),
+            library,
+            {"flow": "service", "objective": spec.objective},
+            lambda: synthesize_netlist(
+                decomposition_to_netlist(
+                    decomposition, library=library, objective=spec.objective
+                ),
+                library,
+                name=spec.circuit,
+            ),
         )
-        key = None
-        cached = None
-        if synthesis_cache is not None:
-            key = synthesis_cache_key(
-                decomposition_digest(decomposition),
-                library_fingerprint(library),
-                {"flow": "service", "objective": spec.objective},
-            )
-            cached = synthesis_cache.load(key)
-        if cached is not None:
-            result["synthesis_cached"] = True
-            result["area"] = round(float(cached["area"]), 1)
-            result["delay"] = round(float(cached["delay"]), 3)
-            result["cells"] = int(cached["cells"])
-        else:
-            netlist = decomposition_to_netlist(
-                decomposition, library=library, objective=spec.objective
-            )
-            synthesis = synthesize_netlist(netlist, library)
-            if synthesis_cache is not None:
-                synthesis_cache.store(key, {
-                    "name": spec.circuit,
-                    "area": synthesis.area,
-                    "delay": synthesis.delay,
-                    "cells": synthesis.num_cells,
-                    "depth": synthesis.depth,
-                })
-            result["synthesis_cached"] = False
-            result["area"] = round(synthesis.area, 1)
-            result["delay"] = round(synthesis.delay, 3)
-            result["cells"] = synthesis.num_cells
+        result["synthesis_cached"] = hit
+        result["area"] = round(synthesis.area, 1)
+        result["delay"] = round(synthesis.delay, 3)
+        result["cells"] = synthesis.num_cells
     result["seconds"] = round(time.perf_counter() - start, 4)
     return result
 

@@ -21,7 +21,7 @@ from .structuring import (
 )
 from .synthesize import SynthesisResult, score_candidate, synthesize_expressions, synthesize_netlist
 from .timing import PathElement, TimingReport, analyze_timing
-from .twolevel import Implicant, implicants_to_sop, minimize_anf_to_sop, minimize_sop, quine_mccluskey
+from .twolevel import Implicant, implicants_to_sop, minimize_anf_to_sop, quine_mccluskey
 
 __all__ = [
     "Cell",
@@ -46,7 +46,6 @@ __all__ = [
     "emit_with_strategy",
     "implicants_to_sop",
     "minimize_anf_to_sop",
-    "minimize_sop",
     "quine_mccluskey",
     "score_candidate",
     "synthesize_expressions",

@@ -69,25 +69,6 @@ def _max_arity(library: Library, op: str) -> int:
     return arity
 
 
-def _reduce_tree(netlist: Netlist, op: str, nets: Sequence[str], max_arity: int) -> str:
-    """Balanced reduction of ``nets`` with gates of at most ``max_arity`` inputs."""
-    level = list(nets)
-    if not level:
-        raise MappingError(f"cannot reduce an empty input list with {op}")
-    while len(level) > 1:
-        next_level: List[str] = []
-        index = 0
-        while index < len(level):
-            chunk = level[index:index + max_arity]
-            if len(chunk) == 1:
-                next_level.append(chunk[0])
-            else:
-                next_level.append(netlist.add_gate(op, chunk))
-            index += max_arity
-        level = next_level
-    return level[0]
-
-
 def technology_map(netlist: Netlist, library: Library | None = None) -> MappedDesign:
     """Map a netlist onto the library, decomposing wide gates as needed."""
     library = library or default_library()

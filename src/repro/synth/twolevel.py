@@ -137,8 +137,3 @@ def minimize_anf_to_sop(expr: Anf, variables: Sequence[str] | None = None) -> So
             minterms.append(point)
     implicants = quine_mccluskey(n, minterms)
     return implicants_to_sop(ctx, variables, implicants)
-
-
-def minimize_sop(sop: Sop, variables: Sequence[str] | None = None) -> Sop:
-    """Re-minimise an SOP (round-trips through its ANF semantics)."""
-    return minimize_anf_to_sop(sop.to_anf(), variables)

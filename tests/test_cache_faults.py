@@ -13,7 +13,6 @@ fault sites (``cache.store.payload``, ``cache.store.rename``,
 """
 
 import json
-import os
 import time
 
 import pytest
@@ -24,7 +23,6 @@ from test_engine_parity import assert_bit_identical
 from repro import faults
 from repro.anf import Context, canonical_spec_digest, majority, variables
 from repro.benchcircuits import lzd_spec
-from repro.core import progressive_decomposition
 from repro.engine import (
     CacheTelemetry,
     DecompositionCache,
@@ -35,6 +33,7 @@ from repro.engine import (
     decompose_cached,
 )
 from repro.engine.cache import FSYNC_ENV, LOCK_ENV
+from repro.eval.flows import run_baseline_flow
 from repro.service import parse_job_spec
 from repro.service.jobs import execute_job
 
@@ -77,21 +76,35 @@ def _stored_record(cache_dir, spec="majority-5"):
     outputs, words = SPECS[spec]()
     pipeline = Pipeline.from_options(None)
     key = cache_key(canonical_spec_digest(outputs, words), pipeline.config_key())
-    decomposition, hit = decompose_cached(outputs, input_words=words, cache=cache)
-    assert not hit
-    return cache, key, cache._path(key), decomposition
+    outcome = decompose_cached(outputs, input_words=words, cache=cache)
+    assert not outcome.cache_hit and outcome.content_key == key
+    return cache, key, cache._path(key), outcome.decomposition
+
+
+def _stored_synthesis_record(cache_dir):
+    """A real committed synthesis record: (cache, key, record_path, metrics)."""
+    cache = SynthesisCache(cache_dir, telemetry=CacheTelemetry())
+    outputs, _ = _majority_outputs(5)
+    run_baseline_flow(outputs, synthesis_cache=cache)
+    (path,) = cache.root.glob("*.json")
+    metrics = json.loads(path.read_bytes())
+    del metrics["schema"]
+    return cache, path.stem, path, metrics
 
 
 # ----------------------------------------------------------------------
 # Byte-level truncation sweep: any prefix of a record is survivable
 # ----------------------------------------------------------------------
 class TestTruncationSweep:
-    @pytest.mark.parametrize("spec", sorted(SPECS))
+    @pytest.mark.parametrize("spec", sorted(SPECS) + ["synthesis"])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_any_prefix_is_a_quarantined_miss(self, tmp_path_factory, spec, data):
         tmp_path = tmp_path_factory.mktemp("trunc")
-        cache, key, path, decomposition = _stored_record(tmp_path, spec)
+        if spec == "synthesis":
+            cache, key, path, value = _stored_synthesis_record(tmp_path)
+        else:
+            cache, key, path, value = _stored_record(tmp_path, spec)
         payload = path.read_bytes()
         cut = data.draw(st.integers(min_value=0, max_value=len(payload) - 1))
         path.write_bytes(payload[:cut])
@@ -102,8 +115,12 @@ class TestTruncationSweep:
         assert cache.telemetry.corrupt == 1
 
         # ... and the key is immediately writable again with a good record.
-        cache.store(key, decomposition)
-        assert_bit_identical(cache.load(key), decomposition)
+        cache.store(key, value)
+        assert path.read_bytes() == payload
+        if spec == "synthesis":
+            assert cache.load(key) == json.loads(payload)
+        else:
+            assert_bit_identical(cache.load(key), value)
 
     def test_full_record_loads_bit_identical(self, tmp_path):
         cache, key, _, decomposition = _stored_record(tmp_path)

@@ -652,23 +652,25 @@ class TestDecompositionCache:
     def test_miss_then_hit(self, tmp_path):
         cache = DecompositionCache(tmp_path)
         outputs, words = _majority_outputs(7)
-        first, hit_first = decompose_cached(outputs, input_words=words, cache=cache)
-        assert not hit_first
+        first = decompose_cached(outputs, input_words=words, cache=cache)
+        assert not first.cache_hit
         assert len(cache) == 1
+        assert first.content_key in cache
         outputs2, words2 = _majority_outputs(7)
-        second, hit_second = decompose_cached(outputs2, input_words=words2, cache=cache)
-        assert hit_second
-        assert_bit_identical(first, second)
+        second = decompose_cached(outputs2, input_words=words2, cache=cache)
+        assert second.cache_hit
+        assert second.content_key == first.content_key
+        assert_bit_identical(first.decomposition, second.decomposition)
 
     def test_different_pipeline_config_misses(self, tmp_path):
         cache = DecompositionCache(tmp_path)
         outputs, words = _majority_outputs(7)
         decompose_cached(outputs, input_words=words, cache=cache)
-        _, hit = decompose_cached(
+        outcome = decompose_cached(
             outputs, DecompositionOptions(use_identities=False),
             input_words=words, cache=cache,
         )
-        assert not hit
+        assert not outcome.cache_hit
         assert len(cache) == 2
 
     def test_corrupt_record_is_a_miss(self, tmp_path):
@@ -679,8 +681,7 @@ class TestDecompositionCache:
         decompose_cached(outputs, input_words=words, cache=cache)
         (tmp_path / f"{key}.json").write_text("{truncated")
         assert cache.load(key) is None
-        _, hit = decompose_cached(outputs, input_words=words, cache=cache)
-        assert not hit
+        assert not decompose_cached(outputs, input_words=words, cache=cache).cache_hit
 
     def test_clear(self, tmp_path):
         cache = DecompositionCache(tmp_path)
@@ -835,8 +836,7 @@ class TestCacheRobustness:
         decompose_cached(outputs, input_words=words, cache=cache)
         (tmp_path / f"{key}.json").write_bytes(b"\x00\xff\xfe not json at all")
         assert cache.load(key) is None
-        _, hit = decompose_cached(outputs, input_words=words, cache=cache)
-        assert not hit
+        assert not decompose_cached(outputs, input_words=words, cache=cache).cache_hit
 
     def test_structurally_invalid_record_recomputes(self, tmp_path):
         # Parses, has the right schema and sections, but the payload is junk:
@@ -850,9 +850,9 @@ class TestCacheRobustness:
         broken["blocks"] = [{"definitely": "not a block"}]
         (tmp_path / f"{key}.json").write_text(_json.dumps(broken))
         assert cache.load(key) is None
-        result, hit = decompose_cached(outputs, input_words=words, cache=cache)
-        assert not hit
-        assert result.verify()
+        outcome = decompose_cached(outputs, input_words=words, cache=cache)
+        assert not outcome.cache_hit
+        assert outcome.decomposition.verify()
 
     def test_wrongly_typed_section_record_recomputes(self, tmp_path):
         # A dict section turned into a list fails with AttributeError on
@@ -866,9 +866,9 @@ class TestCacheRobustness:
         (tmp_path / f"{key}.json").write_text(json.dumps(broken))
         assert cache.load(key) is None
         assert (tmp_path / f"{key}.json.corrupt").exists()
-        result, hit = decompose_cached(outputs, input_words=words, cache=cache)
-        assert not hit
-        assert result.verify()
+        outcome = decompose_cached(outputs, input_words=words, cache=cache)
+        assert not outcome.cache_hit
+        assert outcome.decomposition.verify()
 
     def test_stale_job_index_recomputes(self, tmp_path):
         # A job index pointing at a content record that no longer exists must
